@@ -70,16 +70,17 @@ def dihedral(two_n: int) -> FiniteGroup:
     """Dihedral group of order two_n (rotations first, then reflections)."""
     if two_n % 2 != 0 or two_n < 6:
         raise BadParameter(f"dihedral order must be even and >= 6, got {two_n}")
+    # Element f * half + i is s^f r^i, and s^f1 r^i1 s^f2 r^i2 is
+    # s^(f1 ^ f2) r^(i2 + sign * i1) with sign = -1 when f2 = 1. Built in
+    # place in int32, so no wider n x n temporary appears.
     half = two_n // 2
-    table = np.zeros((two_n, two_n), dtype=np.int32)
-    for f1 in (0, 1):
-        for i1 in range(half):
-            a = f1 * half + i1
-            for f2 in (0, 1):
-                sign = 1 if f2 == 0 else -1
-                for i2 in range(half):
-                    b = f2 * half + i2
-                    table[a, b] = ((f1 ^ f2) * half) + (i2 + sign * i1) % half
+    idx = np.arange(two_n, dtype=np.int32)
+    i, sign = idx % half, 1 - 2 * (idx // half)
+    table = sign[None, :] * i[:, None]
+    table += i[None, :]
+    table %= half
+    table[:half, half:] += half
+    table[half:, :half] += half
     return from_table(table, name=f"D{two_n}")
 
 
@@ -298,8 +299,7 @@ def heisenberg(field: FiniteField) -> FiniteGroup:
     b3 = add[b1, b2]
     c3 = add[add[c1, c2], mul[a1, b2]]
     table = (a3.astype(np.int64) * q + b3) * q + c3
-    mode = "light" if n > 512 else "auto"
-    return from_table(table, name=f"Heis({q})", validate=mode)
+    return from_table(table, name=f"Heis({q})")
 
 
 def from_permutations(degree: int, generators, name: str | None = None) -> FiniteGroup:

@@ -23,10 +23,6 @@ from .errors import (
     OrderCapExceeded,
 )
 
-# Above this order, construction switches from the O(n^3) associativity scan
-# to a generator-based (Light) test on a Latin-square table.
-FULL_ASSOCIATIVITY_CAP = 1024
-
 # isomorphic() refuses orders above this cap; recognition targets in this
 # package are all small (C_p x C_p, C_p^4, named groups of order <= 128).
 ISOMORPHISM_ORDER_CAP = 512
@@ -150,38 +146,55 @@ def _greedy_generators(table: np.ndarray, identity: int) -> list[int]:
     return gens
 
 
-def _validate_full_associativity(arr: np.ndarray) -> None:
-    n = arr.shape[0]
-    for k in range(n):
-        lhs = arr[arr, k]
-        rhs = arr[:, arr[:, k]]
-        if not np.array_equal(lhs, rhs):
-            i, j = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAGroup(f"associativity fails on triple ({i}, {j}, {k})")
-
-
 def _validate_light_associativity(arr: np.ndarray, identity: int) -> None:
-    # Light's test: with a Latin-square table, checking that every generator
-    # associates in the middle position implies full associativity.
+    # Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    # 1961): the elements a with (xa)z = x(az) for all x, z contain the
+    # identity and are closed under products, so once they contain a
+    # generating set they are the whole table. This is exact, not sampled.
     n = arr.shape[0]
     expect = np.arange(n, dtype=arr.dtype)
     if not (np.array_equal(np.sort(arr, axis=1), np.broadcast_to(expect, arr.shape))
             and np.array_equal(np.sort(arr, axis=0), np.broadcast_to(expect[:, None], arr.shape))):
         raise NotAGroup("table is not a Latin square; generator-based validation needs one")
     for g in _greedy_generators(arr, identity):
-        lhs = arr[arr[:, g], :]
-        rhs = arr[:, arr[g, :]]
+        lhs = arr.take(arr[:, g], axis=0)
+        rhs = arr.take(arr[g, :], axis=1)
         if not np.array_equal(lhs, rhs):
             x, z = map(int, np.argwhere(lhs != rhs)[0])
             raise NotAGroup(f"associativity fails on triple ({x}, {g}, {z})")
 
 
-def from_table(table, name: str = "G", validate: str = "auto") -> FiniteGroup:
+def _element_orders(arr: np.ndarray, identity: int) -> tuple[int, ...]:
+    # All elements are raised to their next power at once; an element leaves
+    # the pending set when its power reaches the identity.
+    n = arr.shape[0]
+    orders = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
+    power = pending
+    for k in range(1, n + 1):
+        hit = power == identity
+        orders[pending[hit]] = k
+        pending, power = pending[~hit], power[~hit]
+        if pending.size == 0:
+            break
+        power = arr[power, pending]
+    # Report the lowest failing element, as an element-by-element scan would.
+    bad = (orders == 0) | (n % np.maximum(orders, 1) != 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if orders[i] == 0:
+            raise NotAGroup(f"powers of element {i} never reach the identity")
+        raise NotAGroup(f"element {i} has order {int(orders[i])}, which does not divide {n}")
+    return tuple(orders.tolist())
+
+
+def from_table(table, name: str = "G") -> FiniteGroup:
     """Build a validated group from a square table of element indices.
 
-    ``validate`` is "auto" (full O(n^3) scan up to order 1024, generator-based
-    above), "full", or "light". Raises NotAGroup with the witnessing triple or
-    element when any axiom fails.
+    Validation is exact at every order: a two-sided identity and inverses,
+    a Latin-square table, then Light's associativity test on a generating
+    set. Raises NotAGroup with the witnessing triple or element when any
+    axiom fails.
     """
     arr = np.array(table, dtype=np.int32)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -213,26 +226,8 @@ def from_table(table, name: str = "G", validate: str = "auto") -> FiniteGroup:
     inverses = rinv.astype(np.int32)
     inverses.setflags(write=False)
 
-    if validate not in ("auto", "full", "light"):
-        raise BadParameter(f"unknown validation mode {validate!r}")
-    if validate == "full" or (validate == "auto" and n <= FULL_ASSOCIATIVITY_CAP):
-        _validate_full_associativity(arr)
-    else:
-        _validate_light_associativity(arr, identity)
-
-    orders = []
-    for i in range(n):
-        k, x = 1, i
-        while x != identity:
-            x = int(arr[x, i])
-            k += 1
-            if k > n:
-                raise NotAGroup(f"powers of element {i} never reach the identity")
-        if n % k != 0:
-            raise NotAGroup(f"element {i} has order {k}, which does not divide {n}")
-        orders.append(k)
-
-    return FiniteGroup(name, arr, identity, inverses, tuple(orders))
+    _validate_light_associativity(arr, identity)
+    return FiniteGroup(name, arr, identity, inverses, _element_orders(arr, identity))
 
 
 def renamed(G: FiniteGroup, name: str) -> FiniteGroup:

@@ -35,6 +35,8 @@ from groupcent.errors import (
     TooLarge,
 )
 
+from conftest import brute_force_bad_triple, loop_element_orders
+
 
 class TestNamedFamilies:
     def test_dihedral6_is_s3(self):
@@ -54,6 +56,20 @@ class TestNamedFamilies:
         assert dihedral(14).order == 14
         assert elementary_abelian(3, 2).order == 9
         assert cyclic(11).order == 11
+
+    @pytest.mark.parametrize("two_n", [8, 12])
+    def test_dihedral_matches_reference_formula(self, two_n):
+        half = two_n // 2
+        want = [[0] * two_n for _ in range(two_n)]
+        for f1 in (0, 1):
+            for i1 in range(half):
+                for f2 in (0, 1):
+                    sign = 1 if f2 == 0 else -1
+                    for i2 in range(half):
+                        want[f1 * half + i1][f2 * half + i2] = (
+                            (f1 ^ f2) * half + (i2 + sign * i1) % half
+                        )
+        assert dihedral(two_n).table.tolist() == want
 
     @pytest.mark.parametrize("bad", [4, 5, 7])
     def test_dihedral_bad_parameter(self, bad):
@@ -266,5 +282,7 @@ def test_every_builder_output_revalidates():
         frobenius_cq_cn(5, 4, 2),
         direct_product(cyclic(2), dihedral(8)),
     ):
-        rebuilt = from_table(g.table, name=g.name, validate="full")
+        assert brute_force_bad_triple(g.table) is None
+        rebuilt = from_table(g.table, name=g.name)
         assert rebuilt.element_orders == g.element_orders
+        assert g.element_orders == loop_element_orders(g.table, g.identity)

@@ -38,9 +38,39 @@ from groupcent.errors import (
     OrderCapExceeded,
 )
 
+from conftest import brute_force_bad_triple, loop_element_orders
+
 
 def compose(p, q):
     return tuple(p[q[i]] for i in range(len(q)))
+
+
+def relabel(table, perm):
+    """The same magma with element i renamed perm[i]."""
+    out = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[perm[i]][perm[j]] = perm[v]
+    return out
+
+
+# A Latin square with identity 0 that is not a group (an order-5 loop).
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+# Identity 0 and two-sided inverses (every element is an involution), but
+# row 1 repeats 3, so it is not a Latin square and cannot be associative.
+NON_LATIN = [
+    [0, 1, 2, 3],
+    [1, 0, 3, 3],
+    [2, 3, 0, 1],
+    [3, 2, 1, 0],
+]
 
 
 def s3_table_by_hand():
@@ -64,26 +94,12 @@ class TestFromTable:
 
     def test_identity_discovered_not_pinned(self):
         # relabel C3 so the identity sits at index 2
-        relabel = [2, 0, 1]
-        base = cyclic(3)
-        table = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                table[relabel[i]][relabel[j]] = relabel[base.mul(i, j)]
-        g = from_table(table)
+        g = from_table(relabel(cyclic(3).table.tolist(), [2, 0, 1]))
         assert g.identity == 2
 
     def test_nonassociative_triple_rejected(self):
-        # a Latin square with identity that is not a group (order 5 loop)
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
         with pytest.raises(NotAGroup, match="associativity"):
-            from_table(table)
+            from_table(LOOP5)
 
     def test_missing_identity_rejected(self):
         with pytest.raises(NotAGroup, match="identity"):
@@ -99,20 +115,19 @@ class TestFromTable:
 
     def test_light_validation_matches_full(self):
         g = cyclic(30)
-        full = from_table(g.table, validate="full")
-        light = from_table(g.table, validate="light")
-        assert full.element_orders == light.element_orders
+        assert brute_force_bad_triple(g.table) is None
+        rebuilt = from_table(g.table)
+        assert rebuilt.element_orders == loop_element_orders(g.table, g.identity)
 
-    def test_light_validation_catches_bad_triple(self):
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
+    @pytest.mark.parametrize(
+        "table",
+        [LOOP5, relabel(LOOP5, [2, 0, 1, 4, 3]), NON_LATIN],
+        ids=["loop", "relabelled_loop", "non_latin"],
+    )
+    def test_light_validation_catches_bad_triple(self, table):
+        assert brute_force_bad_triple(table) is not None
         with pytest.raises(NotAGroup):
-            from_table(table, validate="light")
+            from_table(table)
 
     def test_table_is_read_only(self):
         g = cyclic(4)
