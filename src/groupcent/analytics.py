@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -22,11 +21,16 @@ from .core import (
     FiniteGroup,
     QuotientResult,
     Subgroup,
-    _subgroup,
+    _commute_pairwise,
+    _commuting_matrix,
+    _generators,
+    _is_closed,
     center,
+    conjugate_elements,
     derived_subgroup,
     is_abelian,
     is_perfect,
+    memoized,
     prime_power,
     quotient,
     subgroup_as_group,
@@ -34,6 +38,7 @@ from .core import (
 from .errors import (
     AbelianGroupError,
     BadN,
+    BadParameter,
     CentralElementError,
     InvariantViolation,
     NotPerfectQuotient,
@@ -102,63 +107,77 @@ class PerfectQuotientReport:
     derived_order: int
 
 
-@lru_cache(maxsize=None)
-def _centralizer_sizes(G: FiniteGroup) -> tuple[int, ...]:
-    t = G.table
-    return tuple(int((t[:, i] == t[i, :]).sum()) for i in range(G.order))
+class _Centralizers(NamedTuple):
+    """The distinct centralizers as boolean rows: the proper ones in canonical
+    (size, elements) order, then G. ``index[x]`` is the row of C(x) and
+    ``z_rows[i]`` the center of row i; ``contains[i, j]`` says row i lies in
+    row j, ``z_contains[i, j]`` the same of their centers."""
+
+    index: np.ndarray
+    rows: np.ndarray
+    z_rows: np.ndarray
+    contains: np.ndarray
+    z_contains: np.ndarray
 
 
-@lru_cache(maxsize=None)
+def _containment(rows: np.ndarray) -> np.ndarray:
+    # |A n B| = |A| iff A <= B; float32 counts are exact below 2^24 elements.
+    f = rows.astype(np.float32)
+    return f @ f.T == rows.sum(axis=1)[:, None]
+
+
+@memoized
+def _centralizers(G: FiniteGroup) -> _Centralizers:
+    if is_abelian(G):
+        raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
+    k = _commuting_matrix(G)
+    _, first, inverse = np.unique(
+        np.packbits(k, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    elems = [np.flatnonzero(k[x]).tolist() for x in first]
+    # G is the one row of size |G|, so it sorts last
+    canon = sorted(range(first.size), key=lambda i: (len(elems[i]), elems[i]))
+    index = np.argsort(canon)[inverse.reshape(-1)]
+    rows = k[first[canon]]
+    # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that is Z(x).
+    z_rows = np.array([k[r].all(axis=0) for r in rows])
+    cz = _Centralizers(index, rows, z_rows, _containment(rows), _containment(z_rows))
+    for a in cz:
+        a.setflags(write=False)
+    return cz
+
+
+@memoized
 def central_quotient(G: FiniteGroup) -> QuotientResult:
     return quotient(G, center(G))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def profile(G: FiniteGroup) -> CentralizerProfile:
     """Deduplicated proper centralizers, n = |Cent(G)|, and all Z(x).
 
     Raises AbelianGroupError for abelian input, where the only centralizer
     is the group itself.
     """
-    if is_abelian(G):
-        raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
-    t = G.table
+    cz = _centralizers(G)
     zg = center(G)
-    central = zg.element_set
-
-    raw: dict[tuple[int, ...], int] = {}
-    elem_to_raw: dict[int, int] = {}
-    for x in range(G.order):
-        if x in central:
-            continue
-        elems = tuple(int(v) for v in np.nonzero(t[:, x] == t[x, :])[0])
-        elem_to_raw[x] = raw.setdefault(elems, len(raw))
-
-    by_raw = sorted(raw, key=lambda e: (len(e), e))
-    raw_to_canon = {raw[e]: i for i, e in enumerate(by_raw)}
-    proper = tuple(Subgroup(G, e) for e in by_raw)
-    element_to_centralizer = {x: raw_to_canon[r] for x, r in elem_to_raw.items()}
-    n = len(proper) + 1
-
-    z_by_centralizer = []
-    for c in proper:
-        h = np.asarray(c.elements, dtype=np.int64)
-        sub = t[np.ix_(h, h)]
-        mask = (sub == sub.T).all(axis=1)
-        z_by_centralizer.append(_subgroup(G, h[mask]))
-    z_of: dict[int, Subgroup] = {}
-    for x in range(G.order):
-        z_of[x] = zg if x in central else z_by_centralizer[element_to_centralizer[x]]
+    m = cz.rows.shape[0] - 1
+    proper = tuple(Subgroup(G, tuple(np.flatnonzero(r).tolist())) for r in cz.rows[:m])
+    z_by_row = [Subgroup(G, tuple(np.flatnonzero(r).tolist())) for r in cz.z_rows[:m]] + [zg]
+    index = cz.index.tolist()
+    element_to_centralizer = {x: i for x, i in enumerate(index) if i < m}
+    z_of = {x: z_by_row[i] for x, i in enumerate(index)}
+    n = m + 1
 
     if n < 4:
         raise InvariantViolation(f"{G.name} reports n={n}; no group has 2 or 3 centralizers")
-    for c in proper:
-        if not (zg.order < c.order < G.order and central <= c.element_set):
-            raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
-    covered = set(zg.elements)
-    for z in z_by_centralizer:
-        covered.update(z.elements)
-    if len(covered) != G.order:
+    sizes = cz.rows[:m].sum(axis=1)
+    if not (
+        ((zg.order < sizes) & (sizes < G.order)).all()
+        and cz.rows[:m][:, list(zg.elements)].all()
+    ):
+        raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
+    if not cz.z_rows.any(axis=0).all():
         raise InvariantViolation("the Z(x) together with the center do not cover the group")
 
     return CentralizerProfile(G, proper, n, element_to_centralizer, z_of)
@@ -169,26 +188,20 @@ def cent_count(G: FiniteGroup) -> int:
     return profile(G).n
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_F_group(G: FiniteGroup) -> bool:
     """No proper centralizer strictly contains another."""
-    sets = [c.element_set for c in profile(G).proper_centralizers]
-    for i, a in enumerate(sets):
-        for b in sets[i + 1:]:
-            if a < b or b < a:
-                return False
-    return True
+    cz = _centralizers(G)
+    m = cz.rows.shape[0] - 1
+    # the rows are distinct, so containment off the diagonal is strict
+    return bool(np.count_nonzero(cz.contains[:m, :m]) == m)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def is_CA_group(G: FiniteGroup) -> bool:
     """Every proper centralizer is abelian; a subclass of the F-groups."""
-    t = G.table
-    for c in profile(G).proper_centralizers:
-        h = np.asarray(c.elements, dtype=np.int64)
-        sub = t[np.ix_(h, h)]
-        if not (sub == sub.T).all():
-            return False
+    if not all(_commute_pairwise(G, c.elements) for c in profile(G).proper_centralizers):
+        return False
     if not is_F_group(G):
         raise InvariantViolation(f"{G.name} is CA but not F, which is impossible")
     return True
@@ -200,7 +213,7 @@ def is_I_group(G: FiniteGroup) -> bool:
     return len(orders) == 1
 
 
-@lru_cache(maxsize=None)
+@memoized
 def conjugate_type(G: FiniteGroup) -> ConjugateTypeReport:
     indices = {G.order // c.order for c in profile(G).proper_centralizers}
     if len(indices) != 1:
@@ -212,7 +225,7 @@ def conjugate_type(G: FiniteGroup) -> ConjugateTypeReport:
     return ConjugateTypeReport(is_uniform=True, m=m, p=pp[0], k=pp[1])
 
 
-@lru_cache(maxsize=None)
+@memoized
 def central_partition(G: FiniteGroup) -> PartitionReport:
     """Project the distinct Z(x) into G/Z(G) and test partition/normality.
 
@@ -220,21 +233,16 @@ def central_partition(G: FiniteGroup) -> PartitionReport:
     centralizer-containment route used by is_F_group, so the two can be
     cross-validated against each other.
     """
-    prof = profile(G)
+    z_rows = _centralizers(G).z_rows[:-1]
     qr = central_quotient(G)
     q = qr.quotient
     proj = np.asarray(qr.projection, dtype=np.int64)
 
-    seen: dict[tuple[int, ...], None] = {}
-    for x, z in prof.z_of.items():
-        if x in center(G).element_set:
-            continue
-        comp = tuple(sorted({int(v) for v in proj[np.asarray(z.elements)]}))
-        seen.setdefault(comp, None)
+    seen = {tuple(np.unique(proj[z]).tolist()) for z in z_rows}
     components = tuple(sorted(seen, key=lambda e: (len(e), e)))
 
     for comp in components:
-        if len(comp) < 2 or not _closed_in(q, np.asarray(comp, dtype=np.int64)):
+        if len(comp) < 2 or not _is_closed(q, np.asarray(comp, dtype=np.int64)):
             raise InvariantViolation("a projected component is not a nontrivial subgroup")
 
     witness = None
@@ -256,26 +264,17 @@ def central_partition(G: FiniteGroup) -> PartitionReport:
         is_partition = False
         witness = {"kind": "uncovered", "element": missing}
 
+    # the family is normal iff conjugating by each generator keeps it
     comp_sets = {frozenset(c) for c in components}
-    is_norm = True
-    for g in range(q.order):
-        if not is_norm:
-            break
-        for i, comp in enumerate(components):
-            conj = frozenset(int(q.table[q.table[q.inverses[g], e], g]) for e in comp)
-            if conj not in comp_sets:
-                is_norm = False
-                if witness is None:
-                    witness = {"kind": "not-normal", "conjugator": g, "component": i}
-                break
+    moved = next(
+        ((g, i) for g in _generators(q) for i, comp in enumerate(components)
+         if frozenset(conjugate_elements(q, comp, g).tolist()) not in comp_sets),
+        None,
+    )
+    if moved is not None and witness is None:
+        witness = {"kind": "not-normal", "conjugator": moved[0], "component": moved[1]}
 
-    return PartitionReport(components, is_partition, is_norm, witness)
-
-
-def _closed_in(G: FiniteGroup, elems: np.ndarray) -> bool:
-    member = np.zeros(G.order, dtype=bool)
-    member[elems] = True
-    return bool(member[G.table[np.ix_(elems, elems)]].all())
+    return PartitionReport(components, is_partition, moved is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +421,27 @@ def gcd_condition(n: int, q_order: int) -> bool:
 # element- and group-level consequence checks
 
 
+@memoized
+def _sandwich_chains(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
+    """Entry x is (|C(x)|/|Z(G)|, |C(x Z)| in G/Z, |C(x)|)."""
+    qr = central_quotient(G)
+    upper = _commuting_matrix(G).sum(axis=1)
+    middle = _commuting_matrix(qr.quotient).sum(axis=1)[np.asarray(qr.projection)]
+    return tuple(map(tuple, np.stack([upper // center(G).order, middle, upper], 1).tolist()))
+
+
 def quotient_centralizer_sandwich(G: FiniteGroup, x: int) -> tuple[int, int, int]:
     """(|C(x)|/|Z(G)|, |C(x Z)| in G/Z, |C(x)|) with the chain asserted."""
+    if not 0 <= x < G.order:
+        raise BadParameter(f"element index {x} out of range")
     if x in center(G).element_set:
         raise CentralElementError(f"element {x} is central")
-    qr = central_quotient(G)
-    cx = _centralizer_sizes(G)[x]
-    lower = cx // center(G).order
-    middle = _centralizer_sizes(qr.quotient)[qr.projection[x]]
-    upper = cx
+    chain = lower, middle, upper = _sandwich_chains(G)[x]
     if not lower <= middle <= upper:
         raise InvariantViolation(
             f"sandwich {lower} <= {middle} <= {upper} fails at element {x} of {G.name}"
         )
-    return (lower, middle, upper)
+    return chain
 
 
 def perfect_quotient_check(G: FiniteGroup) -> PerfectQuotientReport:
@@ -478,10 +484,4 @@ def nonabelian_centralizer_check(G: FiniteGroup) -> bool:
         raise PreconditionNotMet(
             f"|G/Z| = {qz} does not exceed p^2k = {ct.p ** (2 * ct.k)}"
         )
-    t = G.table
-    for c in profile(G).proper_centralizers:
-        h = np.asarray(c.elements, dtype=np.int64)
-        sub = t[np.ix_(h, h)]
-        if (sub == sub.T).all():
-            return False
-    return True
+    return not any(_commute_pairwise(G, c.elements) for c in profile(G).proper_centralizers)

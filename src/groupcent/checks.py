@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,16 +38,23 @@ from .analytics import (
     nonabelian_centralizer_check,
     perfect_quotient_check,
     profile,
-    _centralizer_sizes,
+    _centralizers,
+    _sandwich_chains,
 )
 from .constructions import alternating, dihedral, elementary_abelian, quaternion8, symmetric
 from .core import (
     FiniteGroup,
+    _commute_pairwise,
+    _commuting_matrix,
+    _generators,
     center,
+    conjugate_elements,
     is_abelian,
     is_nilpotent,
+    is_prime,
     isomorphic,
     largest_prime_divisor,
+    memoized,
     prime_power,
     renamed,
 )
@@ -160,47 +167,31 @@ class SuiteReport:
 # shared helpers
 
 
-@lru_cache(maxsize=None)
-def _centralizer_sets(G: FiniteGroup) -> tuple[frozenset[int], ...]:
-    t = G.table
-    return tuple(
-        frozenset(int(v) for v in np.nonzero(t[:, i] == t[i, :])[0]) for i in range(G.order)
-    )
-
-
-@lru_cache(maxsize=None)
-def _z_sets(G: FiniteGroup) -> tuple[frozenset[int], ...]:
-    prof = profile(G)
-    return tuple(prof.z_of[x].element_set for x in range(G.order))
-
-
-def _pair_mode(G: FiniteGroup, s: CheckSettings) -> str:
-    return "exhaustive" if G.order <= s.exhaustive_cap else "sampled"
-
-
-def _all_pairs(G: FiniteGroup, s: CheckSettings) -> Iterable[tuple[int, int]]:
-    if G.order <= s.exhaustive_cap:
-        return product(range(G.order), repeat=2)
-    rng = random.Random(s.seed)
+def _pairs(G: FiniteGroup, s: CheckSettings, xs: Sequence[int]) -> np.ndarray:
+    """(x, y) pairs with x in xs and y in G, one per row: every such pair up
+    to the exhaustive cap, seeded samples above it."""
     n = G.order
-    return [(rng.randrange(n), rng.randrange(n)) for _ in range(s.sample_pairs)]
-
-
-def _noncentral_pairs(G: FiniteGroup, s: CheckSettings) -> Iterable[tuple[int, int]]:
-    """(x, g) with x non-central and g arbitrary."""
-    noncentral = [x for x in range(G.order) if x not in center(G).element_set]
-    if G.order <= s.exhaustive_cap:
-        return product(noncentral, range(G.order))
+    if n <= s.exhaustive_cap:
+        return np.array(list(product(xs, range(n))), dtype=np.int64).reshape(-1, 2)
     rng = random.Random(s.seed)
-    n = G.order
-    return [(rng.choice(noncentral), rng.randrange(n)) for _ in range(s.sample_pairs)]
+    pairs = [(rng.choice(xs), rng.randrange(n)) for _ in range(s.sample_pairs)]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _pair_verdict(G, s, pairs: np.ndarray, ok: np.ndarray, names: tuple[str, str]):
+    """FAIL at the first pair where ok is false, else PASS with the pair count."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        return FAIL, {names[0]: int(pairs[i, 0]), names[1]: int(pairs[i, 1])}
+    mode = "exhaustive" if G.order <= s.exhaustive_cap else "sampled"
+    return PASS, {"mode": mode, "pairs": len(pairs)}
 
 
 def _quotient_order(G: FiniteGroup) -> int:
     return G.order // center(G).order
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _known_family(G: FiniteGroup) -> str | None:
     """Membership in the families that settle the census characterizations:
     A4, Q8, D8, dihedral of twice-odd order, or extraspecial 2-group."""
@@ -225,7 +216,7 @@ def _is_frobenius_prime_cyclic(G: FiniteGroup) -> bool:
     m = G.order // q
     if m == 1:
         return False
-    sizes = _centralizer_sizes(G)
+    sizes = _commuting_matrix(G).sum(axis=1)
     orders = G.element_orders
     member = np.zeros(G.order, dtype=bool)
     for x in range(G.order):
@@ -243,14 +234,7 @@ def _is_frobenius_prime_cyclic(G: FiniteGroup) -> bool:
         member[:] = False
         member[kernel] = True
         member[G.identity] = True
-        ok = True
-        for g in range(G.order):
-            t = G.table
-            conj = t[t[G.inverses[g], kernel], g]
-            if not member[conj].all():
-                ok = False
-                break
-        if not ok:
+        if not all(member[conjugate_elements(G, kernel, g)].all() for g in _generators(G)):
             continue
         kernel_set = set(kernel)
         for h in range(G.order):
@@ -272,62 +256,50 @@ def _is_frobenius_prime_cyclic(G: FiniteGroup) -> bool:
 
 
 def _check_np1(G, s):
-    cz, zs = _centralizer_sets(G), _z_sets(G)
-    count = 0
-    for x, y in _all_pairs(G, s):
-        count += 1
-        if (cz[x] <= cz[y]) != (zs[y] <= zs[x]):
-            return FAIL, {"x": x, "y": y}
-    return PASS, {"mode": _pair_mode(G, s), "pairs": count}
+    cz = _centralizers(G)
+    pairs = _pairs(G, s, G.elements())
+    cx, cy = cz.index[pairs[:, 0]], cz.index[pairs[:, 1]]
+    ok = cz.contains[cx, cy] == cz.z_contains[cy, cx]
+    return _pair_verdict(G, s, pairs, ok, ("x", "y"))
 
 
 def _check_co1(G, s):
-    zs = _z_sets(G)
-    count = 0
-    for x, y in _all_pairs(G, s):
-        count += 1
-        if (y in zs[x]) != (zs[y] <= zs[x]):
-            return FAIL, {"x": x, "y": y}
-    return PASS, {"mode": _pair_mode(G, s), "pairs": count}
+    cz = _centralizers(G)
+    pairs = _pairs(G, s, G.elements())
+    cx, cy = cz.index[pairs[:, 0]], cz.index[pairs[:, 1]]
+    ok = cz.z_rows[cx, pairs[:, 1]] == cz.z_contains[cy, cx]
+    return _pair_verdict(G, s, pairs, ok, ("x", "y"))
 
 
 def _check_npcor1(G, s):
-    from .core import is_prime
-
     prof = profile(G)
-    sets = [c.element_set for c in prof.proper_centralizers]
+    contains = _centralizers(G).contains
     prime_ones = [i for i, c in enumerate(prof.proper_centralizers) if is_prime(c.order)]
     for i in prime_ones:
-        for j, other in enumerate(sets):
-            if i != j and sets[i] < other:
+        for j in range(len(prof.proper_centralizers)):
+            if i != j and contains[i, j]:
                 return FAIL, {"prime_centralizer": i, "containing_centralizer": j}
     return PASS, {"prime_order_centralizers": len(prime_ones)}
 
 
 def _check_np155(G, s):
-    qr = central_quotient(G)
-    zorder = center(G).order
-    cg = _centralizer_sizes(G)
-    cq = _centralizer_sizes(qr.quotient)
     central = center(G).element_set
-    for x in range(G.order):
-        if x in central:
-            continue
-        lower, middle, upper = cg[x] // zorder, cq[qr.projection[x]], cg[x]
-        if not lower <= middle <= upper:
+    for x, (lower, middle, upper) in enumerate(_sandwich_chains(G)):
+        if x not in central and not lower <= middle <= upper:
             return FAIL, {"x": x, "chain": [lower, middle, upper]}
     return PASS, {"elements": G.order - len(central)}
 
 
 def _check_zclass1(G, s):
-    zs = _z_sets(G)
-    count = 0
-    for x, g in _noncentral_pairs(G, s):
-        count += 1
-        conj = frozenset(G.conj(a, g) for a in zs[x])
-        if conj != zs[G.conj(x, g)]:
-            return FAIL, {"x": x, "g": g}
-    return PASS, {"mode": _pair_mode(G, s), "pairs": count}
+    cz = _centralizers(G)
+    pairs = _pairs(G, s, [x for x in G.elements() if x not in center(G).element_set])
+    x, g = pairs[:, 0], pairs[:, 1]
+    t, inv = G.table, G.inverses
+    # pull[i, b] = g b g^-1 for the pair's g: b lies in g^-1 Z(x) g iff pull[i, b] lies in Z(x)
+    pull = t[t[g], inv[g][:, None]]
+    conj_x = t[t[inv[g], x], g]
+    ok = (cz.z_rows[cz.index[x][:, None], pull] == cz.z_rows[cz.index[conj_x]]).all(axis=1)
+    return _pair_verdict(G, s, pairs, ok, ("x", "g"))
 
 
 def _check_zclass5(G, s):
@@ -523,26 +495,21 @@ def _check_bbu(G, s):
         return SKIP, {"reason": "not an ultraspecial group of order p^6"}
     n = cent_count(G)
     prof = profile(G)
-    t = G.table
-    covered: set[int] = set()
     for c in prof.proper_centralizers:
-        h = np.asarray(c.elements, dtype=np.int64)
-        sub = t[np.ix_(h, h)]
-        if not (sub == sub.T).all():
+        if not _commute_pairwise(G, c.elements):
             return FAIL, {"nonabelian_centralizer_order": c.order}
-    for c in prof.proper_centralizers:
-        covered.update(c.elements)
+    covers = bool(_centralizers(G).rows[:-1].any(axis=0).all())
     qz = _quotient_order(G)
     details = {
         "n": n,
         "abelian_proper_centralizers": len(prof.proper_centralizers),
-        "covers_group": len(covered) == G.order,
+        "covers_group": covers,
         "quotient_order": qz,
         "ca_group": is_CA_group(G),
     }
     ok = (
         len(prof.proper_centralizers) == n - 1
-        and len(covered) == G.order
+        and covers
         and qz == (n - 2) ** 2
         and details["ca_group"]
     )
@@ -629,11 +596,8 @@ def _check_za1(G, s):
             "k": ct.k,
             "proper_centralizers": len(profile(G).proper_centralizers),
         }
-    t = G.table
     for i, c in enumerate(profile(G).proper_centralizers):
-        h = np.asarray(c.elements, dtype=np.int64)
-        sub = t[np.ix_(h, h)]
-        if (sub == sub.T).all():
+        if _commute_pairwise(G, c.elements):
             return FAIL, {"abelian_centralizer": i, "order": c.order}
     return FAIL, {"reason": "inconsistent scan"}
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,10 +33,11 @@ class FiniteGroup:
 
     ``table[i, j]`` is the index of the product of element i by element j.
     The identity is wherever validation finds it, not pinned to index 0.
-    Instances hash by identity, which makes them usable as cache keys.
+    Derived data (center, centralizers, profile, predicates) is memoized on
+    the instance itself, so it is computed once and freed with the group.
     """
 
-    __slots__ = ("name", "order", "table", "identity", "inverses", "element_orders")
+    __slots__ = ("name", "order", "table", "identity", "inverses", "element_orders", "_memo")
 
     def __init__(
         self,
@@ -52,6 +53,7 @@ class FiniteGroup:
         self.identity = int(identity)
         self.inverses = inverses
         self.element_orders = element_orders
+        self._memo: dict = {}
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -75,6 +77,18 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def memoized(fn: Callable[[FiniteGroup], object]) -> Callable:
+    """Cache fn(G) in G's own memo. Exceptions are not cached. Two threads
+    racing on a cold value may both compute it; setdefault keeps one copy."""
+
+    @wraps(fn)
+    def wrapper(G: FiniteGroup):
+        memo = G._memo
+        return memo[fn] if fn in memo else memo.setdefault(fn, fn(G))
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -239,19 +253,33 @@ def renamed(G: FiniteGroup, name: str) -> FiniteGroup:
 # subgroups
 
 
-@lru_cache(maxsize=None)
+@memoized
+def _commuting_matrix(G: FiniteGroup) -> np.ndarray:
+    """Boolean K with K[x, y] true iff xy = yx. Row x is the centralizer
+    C(x); every centralizer computation in the package reads it."""
+    k = G.table == G.table.T
+    k.setflags(write=False)
+    return k
+
+
+@memoized
 def center(G: FiniteGroup) -> Subgroup:
     """Elements commuting with everything."""
-    mask = (G.table == G.table.T).all(axis=1)
-    return _subgroup(G, np.nonzero(mask)[0])
+    return _subgroup(G, np.nonzero(_commuting_matrix(G).all(axis=1))[0])
 
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     """Elements commuting with x; always contains <x> and the center."""
     if not 0 <= x < G.order:
         raise BadParameter(f"element index {x} out of range")
-    mask = G.table[:, x] == G.table[x, :]
-    return _subgroup(G, np.nonzero(mask)[0])
+    return _subgroup(G, np.nonzero(_commuting_matrix(G)[x])[0])
+
+
+def _commute_pairwise(G: FiniteGroup, elems: Sequence[int]) -> bool:
+    """Do the given elements commute with one another (for a subgroup: is it
+    abelian)?"""
+    h = np.asarray(elems, dtype=np.int64)
+    return bool(_commuting_matrix(G)[np.ix_(h, h)].all())
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -267,7 +295,7 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
         elems = np.unique(np.append(elems, products))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _commutator_table(G: FiniteGroup) -> np.ndarray:
     """K[a, b] = a b a^-1 b^-1."""
     t = G.table
@@ -276,7 +304,7 @@ def _commutator_table(G: FiniteGroup) -> np.ndarray:
     return k
 
 
-@lru_cache(maxsize=None)
+@memoized
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators; normal in G."""
     return generated_subgroup(G, np.unique(_commutator_table(G)))
@@ -303,14 +331,18 @@ def conjugate_elements(G: FiniteGroup, elems: Sequence[int], g: int) -> np.ndarr
     return t[t[G.inverses[g], np.asarray(elems, dtype=np.int64)], g]
 
 
+@memoized
+def _generators(G: FiniteGroup) -> tuple[int, ...]:
+    """A small generating set. A finite set that conjugation by each of these
+    maps into itself is invariant under the whole group."""
+    return tuple(_greedy_generators(G.table, G.identity))
+
+
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     elems = _require_subgroup(G, H)
     member = np.zeros(G.order, dtype=bool)
     member[elems] = True
-    for g in range(G.order):
-        if not member[conjugate_elements(G, elems, g)].all():
-            return False
-    return True
+    return all(member[conjugate_elements(G, elems, g)].all() for g in _generators(G))
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> QuotientResult:
@@ -352,8 +384,9 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 # recognizers
 
 
+@memoized
 def is_abelian(G: FiniteGroup) -> bool:
-    return bool((G.table == G.table.T).all())
+    return bool(_commuting_matrix(G).all())
 
 
 def is_cyclic(G: FiniteGroup) -> bool:
@@ -446,15 +479,6 @@ def is_perfect(G: FiniteGroup) -> bool:
 # isomorphism
 
 
-@lru_cache(maxsize=None)
-def _fingerprints(G: FiniteGroup) -> tuple[tuple[int, int], ...]:
-    """Per-element (order, centralizer size); preserved by isomorphism."""
-    t = G.table
-    sizes = [int((t[:, i] == t[i, :]).sum()) for i in range(G.order)]
-    return tuple(zip(G.element_orders, sizes))
-
-
-@lru_cache(maxsize=None)
 def isomorphic(A: FiniteGroup, B: FiniteGroup, cap: int = ISOMORPHISM_ORDER_CAP) -> bool:
     """Exact isomorphism test by generator-image backtracking.
 
@@ -469,13 +493,16 @@ def isomorphic(A: FiniteGroup, B: FiniteGroup, cap: int = ISOMORPHISM_ORDER_CAP)
         return True
     if A.order != B.order:
         return False
-    fpa, fpb = _fingerprints(A), _fingerprints(B)
+    # per-element (order, centralizer size); preserved by isomorphism
+    fpa, fpb = (
+        list(zip(G.element_orders, _commuting_matrix(G).sum(axis=1).tolist())) for G in (A, B)
+    )
     if sorted(fpa) != sorted(fpb):
         return False
 
     n = A.order
     ta, tb = A.table, B.table
-    gens = _greedy_generators(ta, A.identity)
+    gens = _generators(A)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, fp in enumerate(fpb):
         buckets.setdefault(fp, []).append(i)

@@ -211,16 +211,6 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     return result
 
 
-def spec_text(spec: GroupSpec) -> str:
-    out = []
-    for p in spec.parts:
-        if p.scheme == "builtin":
-            out.append(":".join(["builtin", p.family, *p.args]))
-        else:
-            out.append(f"{p.scheme}:{p.path}")
-    return "*".join(out)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

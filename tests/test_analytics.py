@@ -3,6 +3,7 @@
 import pytest
 
 from groupcent import (
+    CheckSettings,
     alternating,
     bounds,
     cent_count,
@@ -39,10 +40,13 @@ from groupcent import (
 from groupcent.errors import (
     AbelianGroupError,
     BadN,
+    BadParameter,
     CentralElementError,
     NotPerfectQuotient,
     PreconditionNotMet,
 )
+
+from conftest import assert_centralizers_match_loops, relabel_group
 
 
 def brute_cent_count(G):
@@ -72,8 +76,21 @@ class TestProfile:
         assert cent_count(dihedral(2 * half)) == half + 2
 
     def test_against_brute_oracle(self):
-        for g in (symmetric(4), dihedral(12), frobenius_cq_cn(5, 4, 2)):
+        sampled = CheckSettings(exhaustive_cap=0, sample_pairs=60, seed=11)
+        for g in (
+            symmetric(4),
+            dihedral(12),
+            frobenius_cq_cn(5, 4, 2),
+            quaternion8(),
+            alternating(5),
+            heisenberg(gf(2, 2)),
+            extraspecial2(3, "minus"),
+            direct_product(symmetric(3), symmetric(3)),
+            relabel_group(symmetric(4), [(7 * i + 3) % 24 for i in range(24)]),
+            relabel_group(frobenius_cq_cn(7, 3, 2), [20 - i for i in range(21)]),
+        ):
             assert cent_count(g) == brute_cent_count(g)
+            assert_centralizers_match_loops(g, [CheckSettings(), sampled])
 
     def test_abelian_rejected(self):
         with pytest.raises(AbelianGroupError):
@@ -267,10 +284,26 @@ class TestSandwich:
         x = next(x for x in g.elements() if x not in center(g).element_set)
         assert quotient_centralizer_sandwich(g, x) == (8, 16, 16)
 
+    def test_d12_middle_below_upper(self):
+        # D12/Z is S3: a rotation of order 6 maps to a 3-cycle, a reflection
+        # to a transposition, and both centralize less there than in D12
+        g = dihedral(12)
+        zg = center(g).element_set
+        r = next(x for x in g.elements() if g.element_orders[x] == 6)
+        s = next(x for x in g.elements() if g.element_orders[x] == 2 and x not in zg)
+        assert quotient_centralizer_sandwich(g, r) == (3, 3, 6)
+        assert quotient_centralizer_sandwich(g, s) == (2, 2, 4)
+
     def test_central_element_rejected(self):
         g = quaternion8()
         with pytest.raises(CentralElementError):
             quotient_centralizer_sandwich(g, g.identity)
+
+    @pytest.mark.parametrize("x", [-1, 8], ids=["negative", "order"])
+    def test_out_of_range_element_rejected(self, x):
+        g = dihedral(8)
+        with pytest.raises(BadParameter):
+            quotient_centralizer_sandwich(g, x)
 
 
 class TestPerfectQuotient:

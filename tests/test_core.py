@@ -1,5 +1,10 @@
 """Table construction, subgroup machinery, quotients, recognizers."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -30,6 +35,7 @@ from groupcent import (
     alternating,
     elementary_abelian,
 )
+from groupcent.cli import build_analysis
 from groupcent.errors import (
     BadParameter,
     NotAGroup,
@@ -390,3 +396,33 @@ class TestNumberTheoryHelpers:
         assert prime_power(12) is None
         assert prime_power(1) is None
         assert prime_power(7) == (7, 1)
+
+
+class TestMemoLifetime:
+    def test_analysed_group_is_freed_when_dropped(self):
+        g = from_table(symmetric(4).table, name="S4 copy")
+        build_analysis(g)
+        table = weakref.ref(g.table)
+        del g
+        gc.collect()
+        assert table() is None
+
+    def test_threads_analysing_one_cold_group_agree(self):
+        g = from_table(symmetric(4).table, name="S4 copy")
+        bodies = [None] * 8
+
+        def work(i):
+            bodies[i] = build_analysis(g)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(bodies))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bodies[0] is not None and all(b == bodies[0] for b in bodies)

@@ -1,10 +1,10 @@
 """Cross-cutting invariants, exhaustive on small groups, hypothesis on the rest."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupcent import (
+    CheckSettings,
     alternating,
     cent_count,
     center,
@@ -16,7 +16,6 @@ from groupcent import (
     extraspecial2,
     frobenius_cq_cn,
     from_permutations,
-    from_table,
     generated_subgroup,
     gf,
     heisenberg,
@@ -31,6 +30,8 @@ from groupcent import (
     quotient,
     symmetric,
 )
+
+from conftest import assert_centralizers_match_loops, relabel_group
 
 # exhaustively scanned pool; everything here has order <= 64
 SMALL_POOL = [
@@ -141,14 +142,6 @@ def test_isomorphic_transitive_on_equal_order_triples():
 # hypothesis-driven properties
 
 
-def relabel(g, perm):
-    table = np.empty((g.order, g.order), dtype=np.int64)
-    for i in range(g.order):
-        for j in range(g.order):
-            table[perm[i], perm[j]] = perm[g.mul(i, j)]
-    return from_table(table, name=f"{g.name}~")
-
-
 @st.composite
 def group_and_permutation(draw):
     g = draw(st.sampled_from(SMALL_POOL[:7]))
@@ -160,19 +153,21 @@ def group_and_permutation(draw):
 @settings(max_examples=40, deadline=None)
 def test_relabelling_preserves_centralizer_structure(gp):
     g, perm = gp
-    h = relabel(g, perm)
+    h = relabel_group(g, perm)
     assert cent_count(h) == cent_count(g)
     assert conjugate_type(h) == conjugate_type(g)
     assert is_F_group(h) == is_F_group(g)
     assert is_CA_group(h) == is_CA_group(g)
     assert sorted(h.element_orders) == sorted(g.element_orders)
+    sampled = CheckSettings(exhaustive_cap=0, sample_pairs=50, seed=len(perm))
+    assert_centralizers_match_loops(h, [CheckSettings(), sampled])
 
 
 @given(group_and_permutation())
 @settings(max_examples=15, deadline=None)
 def test_relabelling_is_isomorphic(gp):
     g, perm = gp
-    assert isomorphic(g, relabel(g, perm))
+    assert isomorphic(g, relabel_group(g, perm))
 
 
 @given(

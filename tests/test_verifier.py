@@ -1,9 +1,11 @@
 """Check registry, suite mechanics, catalog, and search."""
 
+import numpy as np
 import pytest
 
 from groupcent import (
     CatalogEntry,
+    CheckSettings,
     SearchQuery,
     alternating,
     cyclic,
@@ -17,7 +19,7 @@ from groupcent import (
     search,
     symmetric,
 )
-from groupcent.checks import check_ids
+from groupcent.checks import _pair_verdict, check_ids
 from groupcent.errors import UnknownCheckId
 
 # the full check index; a registry drift is a bug
@@ -60,6 +62,15 @@ class TestRunCheck:
     def test_abelian_group_skips(self):
         r = run_check("np1", cyclic(12))
         assert r.status == "skip" and "abelian" in r.details["reason"]
+
+    def test_pair_verdict_names_the_first_failing_pair(self):
+        # no catalog group fails a pair check, so feed the verdict directly
+        g, s = dihedral(8), CheckSettings()
+        pairs = np.array([[0, 1], [2, 3], [4, 5]])
+        ok = np.array([True, False, False])
+        assert _pair_verdict(g, s, pairs, ok, ("x", "g")) == ("fail", {"x": 2, "g": 3})
+        passed = _pair_verdict(g, s, pairs, ok | True, ("x", "y"))
+        assert passed == ("pass", {"mode": "exhaustive", "pairs": 3})
 
     def test_every_skip_has_reason(self, catalog_groups):
         for g in catalog_groups.values():
