@@ -29,7 +29,6 @@ from .core import (
     conjugate_elements,
     derived_subgroup,
     is_abelian,
-    is_perfect,
     memoized,
     prime_power,
     quotient,
@@ -286,49 +285,30 @@ def _p_group_prime(G: FiniteGroup) -> int | None:
     return pp[0] if pp else None
 
 
-def is_extraspecial(G: FiniteGroup) -> bool:
-    """Z(G) = G' of prime order p, with G/Z elementary abelian."""
-    p = _p_group_prime(G)
-    if p is None:
-        return False
-    zg, dg = center(G), derived_subgroup(G)
-    if zg.elements != dg.elements or zg.order != p:
-        return False
-    q = central_quotient(G).quotient
-    return all(o in (1, p) for o in q.element_orders)
-
-
-def _index_p_subgroups(G: FiniteGroup, H: Subgroup, p: int) -> list[Subgroup]:
-    """All subgroups of index p inside a small abelian subgroup H of G."""
-    from .core import generated_subgroup
-
-    subs = {(G.identity,): None}
-    grew = True
-    while grew:
-        grew = False
-        for base in list(subs):
-            for z in H.elements:
-                cand = generated_subgroup(G, set(base) | {z}).elements
-                if len(cand) <= H.order and cand not in subs:
-                    if set(cand) <= H.element_set:
-                        subs[cand] = None
-                        grew = True
-    target = H.order // p
-    return [Subgroup(G, e) for e in sorted(subs) if len(e) == target]
-
-
+@memoized
 def is_semi_extraspecial(G: FiniteGroup) -> bool:
-    """G/N is extraspecial for every maximal subgroup N of the center."""
+    """G/N is extraspecial for every maximal subgroup N of the center.
+
+    Decided by Beisiegel's criterion (Semi-extraspezielle p-Gruppen, Math. Z.
+    156, 1977): a p-group with 1 < |Z| < |G| is semi-extraspecial iff
+    G' = Z, G/Z has exponent p, and |C(x)| |Z| = |G| for every non-central x.
+    """
     p = _p_group_prime(G)
     if p is None:
         return False
     zg = center(G)
-    if zg.order == 1 or zg.order == G.order:
+    if not 1 < zg.order < G.order or derived_subgroup(G).elements != zg.elements:
         return False
-    for n_sub in _index_p_subgroups(G, zg, p):
-        if not is_extraspecial(quotient(G, n_sub).quotient):
-            return False
-    return True
+    if any(o not in (1, p) for o in central_quotient(G).quotient.element_orders):
+        return False
+    # central x have |C(x)| = |G|; the others need index |Z|
+    sizes = _commuting_matrix(G).sum(axis=1)
+    return bool(np.isin(sizes, (G.order, G.order // zg.order)).all())
+
+
+def is_extraspecial(G: FiniteGroup) -> bool:
+    """Z(G) = G' of prime order p, with G/Z elementary abelian."""
+    return is_semi_extraspecial(G) and center(G).order == _p_group_prime(G)
 
 
 def is_ultraspecial(G: FiniteGroup) -> bool:
@@ -444,13 +424,18 @@ def quotient_centralizer_sandwich(G: FiniteGroup, x: int) -> tuple[int, int, int
     return chain
 
 
+def _perfect_central_quotient(G: FiniteGroup) -> bool:
+    # (G/Z)' = G'Z/Z, so G/Z is perfect iff |G'Z| = |G'| |Z| / |G' n Z| is |G|
+    d, z = derived_subgroup(G), center(G)
+    return d.order * z.order == G.order * len(d.element_set & z.element_set)
+
+
 def perfect_quotient_check(G: FiniteGroup) -> PerfectQuotientReport:
     """For G with perfect central quotient: G' * Z = G and the centralizer
     counts of G and G' agree. Raises InvariantViolation if either fails."""
     if is_abelian(G):
         raise NotPerfectQuotient(f"{G.name} is abelian")
-    qr = central_quotient(G)
-    if not is_perfect(qr.quotient):
+    if not _perfect_central_quotient(G):
         raise NotPerfectQuotient(f"central quotient of {G.name} is not perfect")
     d = derived_subgroup(G)
     z = center(G)

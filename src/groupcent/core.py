@@ -23,8 +23,8 @@ from .errors import (
     OrderCapExceeded,
 )
 
-# isomorphic() refuses orders above this cap; recognition targets in this
-# package are all small (C_p x C_p, C_p^4, named groups of order <= 128).
+# isomorphic() refuses orders above this cap. The predicates and checks never
+# call it: they recognize groups from invariants, with no order cap.
 ISOMORPHISM_ORDER_CAP = 512
 
 
@@ -484,8 +484,8 @@ def isomorphic(A: FiniteGroup, B: FiniteGroup, cap: int = ISOMORPHISM_ORDER_CAP)
 
     Candidate images are pruned by the (element order, centralizer size)
     fingerprint; a partial assignment is extended to a full word map by
-    closure and rejected on the first inconsistency. Only intended for the
-    small recognition targets of this package, hence the order cap.
+    closure and rejected on the first inconsistency. Only intended for
+    small groups, hence the order cap.
     """
     if A.order > cap or B.order > cap:
         raise OrderCapExceeded(f"isomorphism testing capped at order {cap}")

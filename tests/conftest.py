@@ -4,8 +4,36 @@ from itertools import product
 import numpy as np
 import pytest
 
-from groupcent import centralizer, checks, from_table, is_CA_group, is_F_group, profile
-from groupcent.core import _commuting_matrix
+from groupcent import (
+    ActionSpec,
+    alternating,
+    center,
+    central_quotient,
+    centralizer,
+    checks,
+    cyclic,
+    derived_subgroup,
+    dihedral,
+    direct_product,
+    elementary_abelian,
+    extraspecial2,
+    frobenius_cq_cn,
+    from_table,
+    generated_subgroup,
+    gf,
+    heisenberg,
+    is_abelian,
+    is_CA_group,
+    is_F_group,
+    isomorphic,
+    prime_power,
+    profile,
+    quaternion8,
+    quotient,
+    semidirect,
+    symmetric,
+)
+from groupcent.core import Subgroup, _commuting_matrix
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +51,76 @@ def catalog_groups(catalog):
 def suite_report():
     """One shared run of the full default suite."""
     return checks.run_suite()
+
+
+def cyclic_extension(q, n, r):
+    """C_q:C_n, the generator of C_n acting on C_q as x -> r x."""
+    action = tuple(tuple(x * pow(r, j, q) % q for x in range(q)) for j in range(n))
+    return semidirect(ActionSpec(cyclic(q), cyclic(n), action), name=f"C{q}:C{n}(r={r})")
+
+
+def special_linear2(p):
+    """SL(2, p) on its 2 x 2 matrices of determinant 1 mod p."""
+    mats = [m for m in product(range(p), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % p == 1]
+    index = {m: i for i, m in enumerate(mats)}
+
+    def mul(a, b):
+        return (
+            (a[0] * b[0] + a[1] * b[2]) % p, (a[0] * b[1] + a[1] * b[3]) % p,
+            (a[2] * b[0] + a[3] * b[2]) % p, (a[2] * b[1] + a[3] * b[3]) % p,
+        )
+
+    return from_table([[index[mul(a, b)] for b in mats] for a in mats], name=f"SL(2,{p})")
+
+
+def _with_relabelled(groups, picks):
+    """groups plus a relabelled copy of each group at the given positions."""
+    copies = [groups[i] for i in picks]
+    return groups + [relabel_group(g, random.Random(g.order).sample(range(g.order), g.order)) for g in copies]
+
+
+@pytest.fixture(scope="session")
+def semi_pool():
+    """p-groups around the semi-extraspecial boundary. Several are special
+    (G' = Z(G), G/Z elementary abelian) without being semi-extraspecial."""
+    d8, q8 = dihedral(8), quaternion8()
+    h2, h3, h4 = heisenberg(gf(2)), heisenberg(gf(3)), heisenberg(gf(2, 2))
+    groups = [dihedral(2**k) for k in range(4, 10)]
+    groups += [
+        direct_product(a, b)
+        for a, b in (
+            (d8, cyclic(2)), (q8, cyclic(2)), (d8, cyclic(4)), (d8, d8), (q8, q8),
+            (h2, h2), (h3, h3), (h4, cyclic(2)), (h3, cyclic(3)),
+            (extraspecial2(2, "plus"), cyclic(2)), (extraspecial2(2, "minus"), cyclic(2)),
+        )
+    ]
+    groups += [
+        cyclic_extension(9, 3, 4),
+        cyclic_extension(25, 5, 6),
+        cyclic_extension(27, 3, 10),
+        cyclic_extension(16, 4, 3),
+    ]
+    return _with_relabelled(groups, (7, 10, 14, 18, 19))
+
+
+@pytest.fixture(scope="session")
+def family_pool():
+    """Groups next to the census families: same orders, same element-order
+    counts in part, or a center that rules the family out."""
+    s3, c3sq = symmetric(3), elementary_abelian(3, 2)
+    inversion = (tuple(range(9)), tuple(c3sq.inverses.tolist()))
+    groups = [
+        dihedral(12),
+        cyclic_extension(3, 4, 2),
+        direct_product(cyclic(3), s3),
+        semidirect(ActionSpec(c3sq, cyclic(2), inversion), name="Dih(C3^2)"),
+        direct_product(cyclic(5), s3),
+        direct_product(cyclic(3), dihedral(10)),
+        frobenius_cq_cn(7, 6, 3),
+        cyclic(8),
+        direct_product(cyclic(2), cyclic(4)),
+    ]
+    return _with_relabelled(groups, (1, 3, 4, 8))
 
 
 def by_check(suite_report, check_id):
@@ -156,3 +254,67 @@ def assert_centralizers_match_loops(G, settings_list):
         for cid, want in loop_pair_checks(G, settings).items():
             got = checks.run_check(cid, G, settings)
             assert (got.status, dict(got.details)) == want, cid
+
+
+def quotient_is_extraspecial(G):
+    """Oracle for is_extraspecial, as it read before Beisiegel's criterion:
+    Z(G) = G' of prime order p, with G/Z of exponent p."""
+    pp = prime_power(G.order)
+    if pp is None:
+        return False
+    p = pp[0]
+    zg, dg = center(G), derived_subgroup(G)
+    if zg.elements != dg.elements or zg.order != p:
+        return False
+    q = central_quotient(G).quotient
+    return all(o in (1, p) for o in q.element_orders)
+
+
+def loop_index_p_subgroups(G, H, p):
+    """All subgroups of index p inside a small abelian subgroup H of G."""
+    subs = {(G.identity,): None}
+    grew = True
+    while grew:
+        grew = False
+        for base in list(subs):
+            for z in H.elements:
+                cand = generated_subgroup(G, set(base) | {z}).elements
+                if len(cand) <= H.order and cand not in subs:
+                    if set(cand) <= H.element_set:
+                        subs[cand] = None
+                        grew = True
+    target = H.order // p
+    return [Subgroup(G, e) for e in sorted(subs) if len(e) == target]
+
+
+def quotient_semi_extraspecial(G):
+    """Oracle for is_semi_extraspecial by its definition: build G/N for every
+    maximal subgroup N of the center and test that it is extraspecial."""
+    pp = prime_power(G.order)
+    if pp is None:
+        return False
+    p = pp[0]
+    zg = center(G)
+    if zg.order == 1 or zg.order == G.order:
+        return False
+    for n_sub in loop_index_p_subgroups(G, zg, p):
+        if not quotient_is_extraspecial(quotient(G, n_sub).quotient):
+            return False
+    return True
+
+
+def iso_known_family(G):
+    """Oracle for the family recognition in the checks: isomorphism tests
+    against the reference groups (capped at order 512)."""
+    n = G.order
+    if n == 12 and not is_abelian(G) and isomorphic(G, alternating(4)):
+        return "A4"
+    if n == 8 and isomorphic(G, quaternion8()):
+        return "Q8"
+    if n == 8 and isomorphic(G, dihedral(8)):
+        return "D8"
+    if n >= 6 and n % 2 == 0 and (n // 2) % 2 == 1 and isomorphic(G, dihedral(n)):
+        return "dihedral_odd"
+    if quotient_is_extraspecial(G) and n % 2 == 0:
+        return "extraspecial_2"
+    return None

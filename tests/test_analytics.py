@@ -24,7 +24,9 @@ from groupcent import (
     is_CA_group,
     is_F_group,
     is_I_group,
+    is_elementary_abelian,
     is_extraspecial,
+    is_perfect,
     is_semi_extraspecial,
     is_ultraspecial,
     isomorphic,
@@ -33,10 +35,13 @@ from groupcent import (
     profile,
     quaternion8,
     quotient_centralizer_sandwich,
+    run_check,
     subgroup_as_group,
     symmetric,
     center,
+    prime_power,
 )
+from groupcent.analytics import _perfect_central_quotient
 from groupcent.errors import (
     AbelianGroupError,
     BadN,
@@ -46,7 +51,13 @@ from groupcent.errors import (
     PreconditionNotMet,
 )
 
-from conftest import assert_centralizers_match_loops, relabel_group
+from conftest import (
+    assert_centralizers_match_loops,
+    quotient_is_extraspecial,
+    quotient_semi_extraspecial,
+    relabel_group,
+    special_linear2,
+)
 
 
 def brute_cent_count(G):
@@ -219,6 +230,22 @@ class TestSpecialPGroups:
         assert not is_extraspecial(elementary_abelian(2, 3))
         assert not is_semi_extraspecial(cyclic(8))
 
+    def test_criterion_matches_quotient_route(self, catalog_groups, semi_pool):
+        """Beisiegel's criterion agrees with building G/N for every maximal
+        N in the center, and is_extraspecial with the direct test."""
+        for g in [*catalog_groups.values(), *semi_pool]:
+            assert is_semi_extraspecial(g) == quotient_semi_extraspecial(g), g.name
+            assert is_extraspecial(g) == quotient_is_extraspecial(g), g.name
+        special = [
+            g for g in semi_pool
+            if derived_subgroup(g).elements == center(g).elements
+            and is_elementary_abelian(central_quotient(g).quotient, prime_power(g.order)[0])
+        ]
+        semi = [quotient_semi_extraspecial(g) for g in special]
+        # the pool holds special groups on both sides of the criterion
+        assert True in semi and False in semi
+        assert any(quotient_semi_extraspecial(g) for g in semi_pool if center(g).order > 2)
+
 
 class TestBounds:
     def test_exact_power_of_two_path(self):
@@ -307,6 +334,17 @@ class TestSandwich:
 
 
 class TestPerfectQuotient:
+    def test_order_count_matches_quotient(self, catalog_groups, semi_pool, family_pool):
+        # in SL(2,5) the center lies inside G' = G, so |G' n Z| counts
+        sl25 = special_linear2(5)
+        verdicts = set()
+        for g in [*catalog_groups.values(), *semi_pool, *family_pool, sl25]:
+            want = is_perfect(central_quotient(g).quotient)
+            assert _perfect_central_quotient(g) == want, g.name
+            verdicts.add(want)
+        assert verdicts == {True, False}
+        assert center(sl25).order == 2 and run_check("cg118", sl25).status == "pass"
+
     def test_c6_x_a5(self):
         g = direct_product(cyclic(6), alternating(5))
         rep = perfect_quotient_check(g)

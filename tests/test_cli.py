@@ -132,6 +132,14 @@ class TestAnalyzeCommand:
         assert body["cent_count"] == 6
         assert body["flags"]["f_group"] and body["flags"]["ca_group"]
 
+    def test_dihedral_above_isomorphism_cap(self, capsys):
+        assert main(["analyze", "builtin:dihedral:1030", "--format", "json"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert (body["order"], body["center_order"], body["cent_count"]) == (1030, 1, 517)
+        assert body["flags"]["f_group"] and body["flags"]["ca_group"]
+        thm1 = next(c for c in body["checks"] if c["check"] == "thm1")
+        assert thm1["status"] == "pass" and thm1["details"]["family"] == "dihedral_odd"
+
     def test_json_round_trip(self, capsys):
         main(["analyze", "builtin:heisenberg:3:1", "--format", "json"])
         out = capsys.readouterr().out

@@ -8,19 +8,24 @@ from groupcent import (
     CheckSettings,
     SearchQuery,
     alternating,
+    central_quotient,
     cyclic,
     default_catalog,
     dihedral,
+    elementary_abelian,
     extraspecial2,
     frobenius_cq_cn,
+    isomorphic,
     quaternion8,
     run_check,
     run_suite,
     search,
     symmetric,
 )
-from groupcent.checks import _pair_verdict, check_ids
+from groupcent.checks import _known_family, _pair_verdict, _quotient_is_elementary, check_ids
 from groupcent.errors import UnknownCheckId
+
+from conftest import iso_known_family
 
 # the full check index; a registry drift is a bug
 EXPECTED_CHECK_IDS = (
@@ -101,6 +106,26 @@ class TestRunCheck:
         assert r9.details["abelian_proper_centralizers"] == 10
 
 
+class TestRecognition:
+    def test_known_family_matches_isomorphism_route(self, catalog_groups, family_pool):
+        found = set()
+        for g in [*catalog_groups.values(), *family_pool]:
+            family = _known_family(g)
+            assert family == iso_known_family(g), g.name
+            found.add(family)
+        assert found == {"A4", "Q8", "D8", "dihedral_odd", "extraspecial_2", None}
+
+    def test_elementary_quotient_matches_isomorphism(self, catalog_groups, semi_pool):
+        hits = 0
+        for g in [*catalog_groups.values(), *semi_pool]:
+            q = central_quotient(g).quotient
+            for p, k in ((2, 2), (2, 4), (3, 2), (3, 4), (5, 2)):
+                want = isomorphic(q, elementary_abelian(p, k))
+                assert _quotient_is_elementary(g, p, k) == want, (g.name, p, k)
+                hits += want
+        assert hits
+
+
 class TestCatalog:
     def test_size(self, catalog):
         assert len(catalog) >= 35
@@ -148,6 +173,13 @@ class TestSuite:
         assert [r.as_dict() for r in parallel.results] == [
             r.as_dict() for r in suite_report.results
         ]
+
+    def test_order_above_isomorphism_cap_keeps_every_row(self):
+        rep = run_suite(
+            [CatalogEntry("D1030", "builtin:dihedral:1030"), CatalogEntry("S3", "builtin:symmetric:3")]
+        )
+        assert rep.summary["total"] == 58 and rep.summary["error"] == 0
+        assert rep.summary["fail"] == 0
 
     def test_empty_catalog(self):
         rep = run_suite([])
