@@ -295,21 +295,6 @@ def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
         elems = np.unique(np.append(elems, products))
 
 
-@memoized
-def _commutator_table(G: FiniteGroup) -> np.ndarray:
-    """K[a, b] = a b a^-1 b^-1."""
-    t = G.table
-    k = t[t, np.asarray(G.inverses)[t.T]]
-    k.setflags(write=False)
-    return k
-
-
-@memoized
-def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators; normal in G."""
-    return generated_subgroup(G, np.unique(_commutator_table(G)))
-
-
 def _is_closed(G: FiniteGroup, elems: np.ndarray) -> bool:
     member = np.zeros(G.order, dtype=bool)
     member[elems] = True
@@ -336,6 +321,31 @@ def _generators(G: FiniteGroup) -> tuple[int, ...]:
     """A small generating set. A finite set that conjugation by each of these
     maps into itself is invariant under the whole group."""
     return tuple(_greedy_generators(G.table, G.identity))
+
+
+def _generator_commutators(G: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
+    """[x, g] = x g x^-1 g^-1 for x in xs (rows) and each generator g
+    (columns)."""
+    t = G.table
+    xs = np.asarray(xs, dtype=np.int64)
+    s = np.asarray(_generators(G), dtype=np.int64)
+    return t[t[np.ix_(xs, s)], G.inverses[t[np.ix_(s, xs)].T]]
+
+
+@memoized
+def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """Subgroup generated by all commutators; normal in G. It is the normal
+    closure N of the generators' commutators: G/N is generated by images
+    that commute, so it is abelian and G' <= N; N <= G' as G' is normal."""
+    gens = _generators(G)
+    h = generated_subgroup(G, _generator_commutators(G, gens).ravel())
+    while True:
+        elems = np.asarray(h.elements, dtype=np.int64)
+        images = [conjugate_elements(G, elems, g) for g in gens]
+        grown = np.unique(np.concatenate([elems, *images]))
+        if grown.size == elems.size:
+            return h
+        h = generated_subgroup(G, grown)
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
@@ -457,9 +467,12 @@ def is_elementary_abelian(G: FiniteGroup, p: int) -> bool:
     return all(o in (1, p) for o in G.element_orders)
 
 
+@memoized
 def is_nilpotent(G: FiniteGroup) -> bool:
-    """Ascending central series reaches the whole group."""
-    k = _commutator_table(G)
+    """Ascending central series reaches the whole group. Z_{i+1} holds the x
+    with [x, g] in Z_i for every generator g: the centralizer of xZ_i in
+    G/Z_i is a subgroup, so holding the generators' images it is all of it."""
+    k = _generator_commutators(G, np.arange(G.order))
     mask = np.zeros(G.order, dtype=bool)
     mask[G.identity] = True
     while True:

@@ -123,6 +123,22 @@ def family_pool():
     return _with_relabelled(groups, (1, 3, 4, 8))
 
 
+@pytest.fixture(scope="session")
+def central_series_pool():
+    """Nilpotent groups whose order is not a prime power, then groups whose
+    upper central series stops at a nontrivial center."""
+    s3 = symmetric(3)
+    groups = [
+        direct_product(dihedral(8), cyclic(3)),
+        direct_product(quaternion8(), cyclic(5)),
+        direct_product(heisenberg(gf(3)), cyclic(2)),
+        dihedral(12),
+        direct_product(cyclic(3), s3),
+        direct_product(s3, cyclic(4)),
+    ]
+    return _with_relabelled(groups, (1, 5))
+
+
 def by_check(suite_report, check_id):
     return [r for r in suite_report.results if r.check_id == check_id]
 
@@ -318,3 +334,27 @@ def iso_known_family(G):
     if quotient_is_extraspecial(G) and n % 2 == 0:
         return "extraspecial_2"
     return None
+
+
+def table_derived_subgroup(G):
+    """Oracle for derived_subgroup, as it read with the n x n commutator
+    table K[a, b] = a b a^-1 b^-1: the closure of every commutator."""
+    t = G.table
+    k = t[t, np.asarray(G.inverses)[t.T]]
+    return generated_subgroup(G, np.unique(k))
+
+
+def table_is_nilpotent(G):
+    """Oracle for is_nilpotent, as it read with the n x n commutator table:
+    Z_{i+1} holds the x with [x, y] in Z_i for every y in G."""
+    t = G.table
+    k = t[t, np.asarray(G.inverses)[t.T]]
+    mask = np.zeros(G.order, dtype=bool)
+    mask[G.identity] = True
+    while True:
+        new = mask[k].all(axis=1)
+        if new.all():
+            return True
+        if np.array_equal(new, mask):
+            return False
+        mask = new

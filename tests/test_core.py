@@ -35,6 +35,7 @@ from groupcent import (
     alternating,
     elementary_abelian,
 )
+from groupcent import core
 from groupcent.cli import build_analysis
 from groupcent.errors import (
     BadParameter,
@@ -44,7 +45,12 @@ from groupcent.errors import (
     OrderCapExceeded,
 )
 
-from conftest import brute_force_bad_triple, loop_element_orders
+from conftest import (
+    brute_force_bad_triple,
+    loop_element_orders,
+    table_derived_subgroup,
+    table_is_nilpotent,
+)
 
 
 def compose(p, q):
@@ -341,6 +347,54 @@ class TestRecognizers:
     def test_abelian(self):
         assert is_abelian(cyclic(9))
         assert not is_abelian(dihedral(10))
+
+
+class TestCommutatorsFromGenerators:
+    def test_match_table_routes(self, catalog_groups, semi_pool, family_pool, central_series_pool):
+        for g in [*catalog_groups.values(), *semi_pool, *family_pool, *central_series_pool]:
+            assert derived_subgroup(g).elements == table_derived_subgroup(g).elements, g.name
+            assert is_nilpotent(g) == table_is_nilpotent(g), g.name
+
+    def test_central_series_pool_verdicts(self, central_series_pool):
+        # three nilpotent groups of composite non-prime-power order, then
+        # three whose upper central series stops at a nontrivial center
+        verdicts = [is_nilpotent(g) for g in central_series_pool[:6]]
+        assert verdicts == [True] * 3 + [False] * 3
+        assert all(center(g).order > 1 for g in central_series_pool)
+
+    def test_trivial_group(self):
+        g = from_table([[0]])
+        assert derived_subgroup(g).elements == (0,)
+        assert is_nilpotent(g)
+        assert is_perfect(g)
+
+    def test_is_nilpotent_is_memoized(self, monkeypatch):
+        g = from_table(dihedral(12).table, name="D12 copy")
+        calls = []
+        inner = core._generator_commutators
+
+        def counting(G, xs):
+            calls.append(G)
+            return inner(G, xs)
+
+        monkeypatch.setattr(core, "_generator_commutators", counting)
+        assert not is_nilpotent(g)
+        assert len(calls) == 1
+        assert not is_nilpotent(g)
+        assert len(calls) == 1
+
+    def test_analysis_keeps_no_square_integer_array(self):
+        g = from_table(dihedral(24).table, name="D24 copy")
+        build_analysis(g)
+        stack, square = list(g._memo.values()), []
+        while stack:
+            v = stack.pop()
+            if isinstance(v, (tuple, list)):
+                stack.extend(v)
+            elif isinstance(v, np.ndarray) and v.shape == (g.order, g.order):
+                square.append(v.dtype)
+        # only the boolean commuting matrix is n x n
+        assert square and all(d == np.bool_ for d in square)
 
 
 class TestIsomorphic:

@@ -1,0 +1,93 @@
+"""Differential test against sympy's permutation groups.
+
+sympy is not a dependency of groupcent; the module is skipped without it.
+Each group is handed to sympy as its right regular representation, the
+permutations x -> xg for g in a generating set, and sympy's own center,
+derived subgroup and nilpotency decide the expected values.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from groupcent import (
+    alternating,
+    cent_count,
+    center,
+    cyclic,
+    derived_subgroup,
+    dihedral,
+    direct_product,
+    elementary_abelian,
+    extraspecial2,
+    frobenius_cq_cn,
+    gf,
+    heisenberg,
+    is_abelian,
+    is_nilpotent,
+    quaternion8,
+    symmetric,
+)
+from groupcent.core import _generators
+
+sympy = pytest.importorskip("sympy")
+from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
+
+MAX_ORDER = 96
+
+FACTORS = [
+    cyclic(1),
+    cyclic(2),
+    cyclic(3),
+    cyclic(4),
+    cyclic(5),
+    elementary_abelian(2, 2),
+    symmetric(3),
+    dihedral(8),
+    quaternion8(),
+    dihedral(10),
+    dihedral(12),
+    alternating(4),
+    frobenius_cq_cn(5, 4, 2),
+    symmetric(4),
+    heisenberg(gf(3)),
+    extraspecial2(2, "minus"),
+]
+
+
+@st.composite
+def small_products(draw):
+    """A direct product of one to three small builders, of order <= 96."""
+    g = draw(st.sampled_from(FACTORS))
+    for _ in range(draw(st.integers(0, 2))):
+        fits = [f for f in FACTORS if g.order * f.order <= MAX_ORDER]
+        g = direct_product(g, draw(st.sampled_from(fits)))
+    return g
+
+
+def regular_representation(G):
+    """sympy's permutation group on the points 0..n-1 generated by the
+    table columns x -> xg of G's generators."""
+    gens = [Permutation(G.table[:, g].tolist()) for g in _generators(G)]
+    return PermutationGroup(gens or [Permutation(G.order - 1)])
+
+
+def sympy_cent_count(P):
+    """Distinct centralizers among sympy's enumeration of the elements, by
+    composing their permutations."""
+    perms = np.array([p.array_form for p in P.elements])
+    composed = perms[:, perms]  # [a, b] is b then a
+    commute = (composed == composed.transpose(1, 0, 2)).all(axis=2)
+    return np.unique(commute, axis=0).shape[0]
+
+
+@given(small_products())
+@settings(max_examples=40, deadline=None)
+def test_core_numbers_match_sympy(g):
+    P = regular_representation(g)
+    assert P.order() == g.order
+    assert center(g).order == P.center().order()
+    assert derived_subgroup(g).order == P.derived_subgroup().order()
+    assert is_nilpotent(g) == P.is_nilpotent
+    n = sympy_cent_count(P)
+    assert n == (1 if is_abelian(g) else cent_count(g))
