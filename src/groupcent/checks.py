@@ -410,9 +410,8 @@ def _check_sb1(G, s):
 
 def _check_bbc(G, s):
     n, qz = cent_count(G), _quotient_order(G)
-    bound = math.factorial(n - 1)
     details = {"n": n, "quotient_order": qz}
-    return (PASS, details) if qz < bound else (FAIL, details)
+    return (PASS, details) if bounds(n, qz).satisfied["factorial_bound"] else (FAIL, details)
 
 
 def _check_xx(G, s):
@@ -690,10 +689,17 @@ def _entry_results(entry: CatalogEntry, settings: CheckSettings) -> list[CheckRe
         G = entry.build()
     except (GroupTheoryError, OSError) as exc:
         return [CheckResult("build", entry.name, ERROR, {"reason": str(exc)})]
+
+    def isolated(check_id: str, run: Callable[[], CheckResult]) -> CheckResult:
+        try:
+            return run()
+        except GroupTheoryError as exc:
+            return CheckResult(check_id, entry.name, ERROR, {"reason": str(exc)})
+
     results = []
     if entry.expected is not None:
-        results.append(_expected_result(entry, G))
-    results.extend(run_check(cid, G, settings) for cid in REGISTRY)
+        results.append(isolated("expected", lambda: _expected_result(entry, G)))
+    results.extend(isolated(cid, lambda cid=cid: run_check(cid, G, settings)) for cid in REGISTRY)
     return results
 
 
@@ -705,8 +711,9 @@ def run_suite(
 ) -> SuiteReport:
     """Every applicable check against every catalog entry, in deterministic
     order (catalog major, registry minor); entries with expected attributes
-    get one extra validation row first. Builder failures become per-entry
-    error results without disturbing the rest."""
+    get one extra validation row first. A builder failure becomes one error
+    row for its entry, and a check that raises becomes an error row in its
+    own place, without disturbing the rest."""
     entries = list(default_catalog() if catalog is None else catalog)
     settings = settings or CheckSettings()
     if jobs > 1:

@@ -46,6 +46,11 @@ __all__ = [
 USAGE_ERROR = 2
 INPUT_ERROR = 3
 
+# (n-1)! has at most 4300 digits, the default limit of int-to-str
+# conversion, up to n = 1559. Above it the analysis body writes the bound as
+# the string "<n-1>!", so every order still serializes.
+_EXACT_FACTORIAL_MAX_N = 1559
+
 
 @dataclass
 class Report:
@@ -114,7 +119,9 @@ def build_analysis(G: FiniteGroup, settings: CheckSettings | None = None) -> dic
             "quotient_order": rep.q_order,
             "bound_f": rep.bound_f,
             "bound_general": rep.bound_general,
-            "factorial_bound": rep.factorial_bound,
+            "factorial_bound": (
+                rep.factorial_bound if rep.n <= _EXACT_FACTORIAL_MAX_N else f"{rep.n - 1}!"
+            ),
             "satisfied": dict(rep.satisfied),
         }
     body["checks"] = [

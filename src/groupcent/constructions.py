@@ -7,7 +7,6 @@ returned from here is a checked group, not just a plausible one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -39,7 +38,6 @@ PERMUTATION_CLOSURE_CAP = 10000
 HEISENBERG_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 
-@lru_cache(maxsize=None)
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise BadParameter("cyclic group order must be >= 1")
@@ -47,7 +45,6 @@ def cyclic(n: int) -> FiniteGroup:
     return from_table(table, name=f"C{n}")
 
 
-@lru_cache(maxsize=None)
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """Direct power C_p^k, with digit-wise addition base p."""
     if not is_prime(p):
@@ -65,7 +62,6 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     return from_table(table, name=name)
 
 
-@lru_cache(maxsize=None)
 def dihedral(two_n: int) -> FiniteGroup:
     """Dihedral group of order two_n (rotations first, then reflections)."""
     if two_n % 2 != 0 or two_n < 6:
@@ -84,7 +80,6 @@ def dihedral(two_n: int) -> FiniteGroup:
     return from_table(table, name=f"D{two_n}")
 
 
-@lru_cache(maxsize=None)
 def quaternion8() -> FiniteGroup:
     """The quaternion group on {1, -1, i, -i, j, -j, k, -k}."""
     units = [
@@ -124,7 +119,6 @@ def _tabulate_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteGro
     return from_table(table, name=name)
 
 
-@lru_cache(maxsize=None)
 def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise BadParameter("symmetric groups supported for degree 1..5")
@@ -132,12 +126,20 @@ def symmetric(n: int) -> FiniteGroup:
     return _tabulate_permutations(perms, name=f"S{n}")
 
 
-@lru_cache(maxsize=None)
 def alternating(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise BadParameter("alternating groups supported for degree 1..5")
     perms = sorted(p for p in permutations(range(n)) if _parity(p) == 0)
     return _tabulate_permutations(perms, name=f"A{n}")
+
+
+def _unit_order(r: int, q: int) -> int:
+    """Multiplicative order of r mod q; r must be a unit mod q."""
+    k, x = 1, r % q
+    while x != 1:
+        x = (x * r) % q
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,6 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
     return from_table(table, name=name or f"{K.name}:{H.name}")
 
 
-@lru_cache(maxsize=None)
 def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
     """C_q with a cyclic complement of order n acting by x -> x * r mod q.
 
@@ -198,10 +199,7 @@ def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
         raise BadParameter("complement order must be >= 2")
     if r % q == 0:
         raise BadOrder(f"r={r} is not a unit mod {q}")
-    k, x = 1, r % q
-    while x != 1:
-        x = (x * r) % q
-        k += 1
+    k = _unit_order(r, q)
     if k != n:
         raise BadOrder(f"r={r} has multiplicative order {k} mod {q}, need {n}")
 
@@ -221,11 +219,7 @@ def smallest_frobenius_unit(q: int, n: int) -> int:
     if not is_prime(q) or n < 2 or (q - 1) % n != 0:
         raise BadParameter(f"no unit of order {n} exists mod {q}")
     for r in range(2, q):
-        k, x = 1, r
-        while x != 1:
-            x = (x * r) % q
-            k += 1
-        if k == n:
+        if _unit_order(r, q) == n:
             return r
     raise BadParameter(f"no unit of order {n} exists mod {q}")
 
@@ -266,7 +260,6 @@ def central_product(
     return renamed(result.quotient, f"{A.name}o{B.name}")
 
 
-@lru_cache(maxsize=None)
 def extraspecial2(a: int, variant: str) -> FiniteGroup:
     """Central products of a copies of D8 ("plus") or D8's and one Q8 ("minus");
     order 2^(2a+1)."""
@@ -281,7 +274,6 @@ def extraspecial2(a: int, variant: str) -> FiniteGroup:
     return renamed(G, f"E{2 ** (2 * a + 1)}{sign}")
 
 
-@lru_cache(maxsize=None)
 def heisenberg(field: FiniteField) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over the field; order q^3, center of
     order q. Triples (a, b, c) multiply as (a+a', b+b', c+c'+a*b')."""

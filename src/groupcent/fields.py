@@ -9,7 +9,7 @@ into dense tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -155,7 +155,6 @@ class FiniteField:
         raise InvariantViolation("multiplicative group has no generator")
 
 
-@lru_cache(maxsize=None)
 def gf(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteField:
     """Field of order p^e; built-in modulus for p^e <= 16, else user-supplied.
 

@@ -135,10 +135,7 @@ def _v_frob(args, pos):
         raise SpecParseError(f"frobenius: need prime q and n >= 2 (at position {pos})")
     if r % q == 0:
         raise SpecParseError(f"frobenius: r={r} is not a unit mod {q} (at position {pos})")
-    k, x = 1, r % q
-    while x != 1:
-        x = (x * r) % q
-        k += 1
+    k = cons._unit_order(r, q)
     if k != n:
         raise SpecParseError(
             f"frobenius: r={r} has order {k} mod {q}, need {n} (at position {pos})"

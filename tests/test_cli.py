@@ -1,6 +1,7 @@
 """Spec grammar, file formats, report rendering, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,21 @@ import pytest
 from groupcent import (
     build_group,
     cent_count,
+    checks,
     load_cayley,
     load_permutations,
     parse_spec,
     save_cayley,
     symmetric,
 )
-from groupcent.cli import main
-from groupcent.errors import FormatError, NotAGroup, SpecParseError, UnknownFamily
+from groupcent.cli import _EXACT_FACTORIAL_MAX_N, main
+from groupcent.errors import (
+    FormatError,
+    InvariantViolation,
+    NotAGroup,
+    SpecParseError,
+    UnknownFamily,
+)
 
 
 class TestParseSpec:
@@ -140,6 +148,19 @@ class TestAnalyzeCommand:
         thm1 = next(c for c in body["checks"] if c["check"] == "thm1")
         assert thm1["status"] == "pass" and thm1["details"]["family"] == "dihedral_odd"
 
+    def test_centerless_above_factorial_digit_limit(self, capsys):
+        # n = 2049 centralizers; (n-1)! has 5895 digits, above the 4300-digit
+        # limit of int-to-str conversion, so the bound is written as text.
+        assert main(["analyze", "builtin:dihedral:4094", "--format", "json"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert (body["center_order"], body["cent_count"]) == (1, 2049)
+        assert body["bounds"]["factorial_bound"] == "2048!"
+        assert body["bounds"]["satisfied"]["factorial_bound"] is True
+
+    def test_factorial_bound_exact_up_to_digit_limit(self):
+        assert len(str(math.factorial(_EXACT_FACTORIAL_MAX_N - 1))) <= 4300
+        assert math.factorial(_EXACT_FACTORIAL_MAX_N) >= 10**4300
+
     def test_json_round_trip(self, capsys):
         main(["analyze", "builtin:heisenberg:3:1", "--format", "json"])
         out = capsys.readouterr().out
@@ -189,6 +210,17 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--catalog", str(cat)]) == 3
         capsys.readouterr()
+
+    def test_raising_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        def boom(*args):
+            raise InvariantViolation("patched to raise")
+
+        monkeypatch.setitem(checks.REGISTRY, "bbc", (boom, "patched"))
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps([{"name": "D6", "spec": "builtin:dihedral:6"}]), encoding="utf-8")
+        assert main(["verify", "--catalog", str(cat), "--format", "json"]) == 3
+        body = json.loads(capsys.readouterr().out)
+        assert body["summary"]["error"] == 1 and body["summary"]["total"] == 29
 
     def test_malformed_catalog_file_exits_3(self, tmp_path, capsys):
         cat = tmp_path / "cat.json"

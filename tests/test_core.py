@@ -138,7 +138,7 @@ class TestFromTable:
     )
     def test_light_validation_catches_bad_triple(self, table):
         assert brute_force_bad_triple(table) is not None
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup, match="associativity fails on triple"):
             from_table(table)
 
     def test_table_is_read_only(self):
@@ -406,7 +406,8 @@ class TestIsomorphic:
         assert not isomorphic(quaternion8(), dihedral(8))
 
     def test_q8_quotient_vs_klein(self):
-        qr = quotient(quaternion8(), center(quaternion8()))
+        q8 = quaternion8()
+        qr = quotient(q8, center(q8))
         assert isomorphic(qr.quotient, elementary_abelian(2, 2))
 
     def test_different_orders(self):
@@ -453,8 +454,13 @@ class TestNumberTheoryHelpers:
 
 
 class TestMemoLifetime:
-    def test_analysed_group_is_freed_when_dropped(self):
-        g = from_table(symmetric(4).table, name="S4 copy")
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: from_table(symmetric(4).table, name="S4 copy"), lambda: dihedral(64)],
+        ids=["table_copy", "builder"],
+    )
+    def test_analysed_group_is_freed_when_dropped(self, build):
+        g = build()
         build_analysis(g)
         table = weakref.ref(g.table)
         del g

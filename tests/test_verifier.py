@@ -9,6 +9,7 @@ from groupcent import (
     SearchQuery,
     alternating,
     central_quotient,
+    checks,
     cyclic,
     default_catalog,
     dihedral,
@@ -23,7 +24,7 @@ from groupcent import (
     symmetric,
 )
 from groupcent.checks import _known_family, _pair_verdict, _quotient_is_elementary, check_ids
-from groupcent.errors import UnknownCheckId
+from groupcent.errors import InvariantViolation, UnknownCheckId
 
 from conftest import iso_known_family
 
@@ -207,6 +208,35 @@ class TestSuite:
         assert len(errors) == 1 and errors[0].group_name == "broken"
         assert rep.summary["fail"] == 0
         assert {r.group_name for r in rep.results if r.status == "pass"} >= {"good", "also-good"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("target", ["bbc", "expected"])
+    def test_raising_check_keeps_every_other_row(self, monkeypatch, jobs, target):
+        catalog = [
+            CatalogEntry("D6", "builtin:dihedral:6", {"cent_count": 5}),
+            CatalogEntry("C4", "builtin:cyclic:4", {"order": 4}),
+            CatalogEntry("Q8", "builtin:quaternion8"),
+        ]
+        clean = run_suite(catalog, jobs=jobs).results
+
+        def boom(*args):
+            raise InvariantViolation("patched to raise")
+
+        if target == "expected":
+            monkeypatch.setattr(checks, "_expected_result", boom)
+        else:
+            monkeypatch.setitem(checks.REGISTRY, target, (boom, "patched"))
+        rep = run_suite(catalog, jobs=jobs)
+        assert [(r.check_id, r.group_name) for r in rep.results] == [
+            (r.check_id, r.group_name) for r in clean
+        ]
+        hit = [a for a, b in zip(rep.results, clean) if a != b]
+        # abelian groups skip every check before the check function runs
+        want = {"D6", "C4"} if target == "expected" else {"D6", "Q8"}
+        assert {r.group_name for r in hit} == want
+        assert all(r.check_id == target and r.status == "error" for r in hit)
+        assert all(r.details == {"reason": "patched to raise"} for r in hit)
+        assert rep.summary["error"] == len(want)
 
     def test_expected_mismatch_fails(self):
         catalog = [CatalogEntry("D6", "builtin:dihedral:6", {"cent_count": 7})]
