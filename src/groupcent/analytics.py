@@ -21,7 +21,6 @@ from .core import (
     FiniteGroup,
     QuotientResult,
     Subgroup,
-    _commute_pairwise,
     _commuting_matrix,
     _generators,
     _is_closed,
@@ -52,6 +51,11 @@ class CentralizerProfile:
     ``n`` counts the group itself as one centralizer, so n = 1 + number of
     proper ones. ``z_of`` maps every element x to Z(x), the center of C(x)
     (for central x that is just the center of the group).
+
+    A public view only: ``profile`` builds it on each call from the boolean
+    rows that the group's memo holds, and no predicate or check reads it.
+    The predicates read those rows directly; C(x) is abelian iff it equals
+    its own center Z(x), so the CA test compares two rows.
     """
 
     group: FiniteGroup
@@ -110,13 +114,15 @@ class _Centralizers(NamedTuple):
     """The distinct centralizers as boolean rows: the proper ones in canonical
     (size, elements) order, then G. ``index[x]`` is the row of C(x) and
     ``z_rows[i]`` the center of row i; ``contains[i, j]`` says row i lies in
-    row j, ``z_contains[i, j]`` the same of their centers."""
+    row j, ``z_contains[i, j]`` the same of their centers. ``abelian[i]``
+    says row i is abelian, that is, equal to its own center."""
 
     index: np.ndarray
     rows: np.ndarray
     z_rows: np.ndarray
     contains: np.ndarray
     z_contains: np.ndarray
+    abelian: np.ndarray
 
 
 def _containment(rows: np.ndarray) -> np.ndarray:
@@ -127,6 +133,12 @@ def _containment(rows: np.ndarray) -> np.ndarray:
 
 @memoized
 def _centralizers(G: FiniteGroup) -> _Centralizers:
+    """The one centralizer representation every predicate and check reads.
+
+    Raises AbelianGroupError for abelian input, where the only centralizer
+    is the group itself, and InvariantViolation if the rows break the
+    count, sandwich or covering facts that hold in every group.
+    """
     if is_abelian(G):
         raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
     k = _commuting_matrix(G)
@@ -140,7 +152,19 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     rows = k[first[canon]]
     # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that is Z(x).
     z_rows = np.array([k[r].all(axis=0) for r in rows])
-    cz = _Centralizers(index, rows, z_rows, _containment(rows), _containment(z_rows))
+
+    n = rows.shape[0]
+    if n < 4:
+        raise InvariantViolation(f"{G.name} reports n={n}; no group has 2 or 3 centralizers")
+    zg = z_rows[-1]
+    sizes = rows[:-1].sum(axis=1)
+    if not (((zg.sum() < sizes) & (sizes < G.order)).all() and rows[:-1][:, zg].all()):
+        raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
+    if not z_rows.any(axis=0).all():
+        raise InvariantViolation("the Z(x) together with the center do not cover the group")
+
+    abelian = (z_rows == rows).all(axis=1)
+    cz = _Centralizers(index, rows, z_rows, _containment(rows), _containment(z_rows), abelian)
     for a in cz:
         a.setflags(write=False)
     return cz
@@ -151,10 +175,10 @@ def central_quotient(G: FiniteGroup) -> QuotientResult:
     return quotient(G, center(G))
 
 
-@memoized
 def profile(G: FiniteGroup) -> CentralizerProfile:
     """Deduplicated proper centralizers, n = |Cent(G)|, and all Z(x).
 
+    Built afresh on each call from the memoized ``_centralizers`` rows.
     Raises AbelianGroupError for abelian input, where the only centralizer
     is the group itself.
     """
@@ -166,25 +190,12 @@ def profile(G: FiniteGroup) -> CentralizerProfile:
     index = cz.index.tolist()
     element_to_centralizer = {x: i for x, i in enumerate(index) if i < m}
     z_of = {x: z_by_row[i] for x, i in enumerate(index)}
-    n = m + 1
-
-    if n < 4:
-        raise InvariantViolation(f"{G.name} reports n={n}; no group has 2 or 3 centralizers")
-    sizes = cz.rows[:m].sum(axis=1)
-    if not (
-        ((zg.order < sizes) & (sizes < G.order)).all()
-        and cz.rows[:m][:, list(zg.elements)].all()
-    ):
-        raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
-    if not cz.z_rows.any(axis=0).all():
-        raise InvariantViolation("the Z(x) together with the center do not cover the group")
-
-    return CentralizerProfile(G, proper, n, element_to_centralizer, z_of)
+    return CentralizerProfile(G, proper, m + 1, element_to_centralizer, z_of)
 
 
 def cent_count(G: FiniteGroup) -> int:
     """|Cent(G)| for non-abelian G."""
-    return profile(G).n
+    return _centralizers(G).rows.shape[0]
 
 
 @memoized
@@ -199,25 +210,28 @@ def is_F_group(G: FiniteGroup) -> bool:
 @memoized
 def is_CA_group(G: FiniteGroup) -> bool:
     """Every proper centralizer is abelian; a subclass of the F-groups."""
-    if not all(_commute_pairwise(G, c.elements) for c in profile(G).proper_centralizers):
+    if not _centralizers(G).abelian[:-1].all():
         return False
     if not is_F_group(G):
         raise InvariantViolation(f"{G.name} is CA but not F, which is impossible")
     return True
 
 
+def _proper_sizes(G: FiniteGroup) -> np.ndarray:
+    return _centralizers(G).rows[:-1].sum(axis=1)
+
+
 def is_I_group(G: FiniteGroup) -> bool:
     """All proper centralizers share one order."""
-    orders = {c.order for c in profile(G).proper_centralizers}
-    return len(orders) == 1
+    return np.unique(_proper_sizes(G)).size == 1
 
 
 @memoized
 def conjugate_type(G: FiniteGroup) -> ConjugateTypeReport:
-    indices = {G.order // c.order for c in profile(G).proper_centralizers}
-    if len(indices) != 1:
+    indices = np.unique(G.order // _proper_sizes(G))
+    if indices.size != 1:
         return ConjugateTypeReport(is_uniform=False)
-    m = indices.pop()
+    m = int(indices[0])
     pp = prime_power(m)
     if pp is None:
         return ConjugateTypeReport(is_uniform=True, m=m)
@@ -445,9 +459,8 @@ def perfect_quotient_check(G: FiniteGroup) -> PerfectQuotientReport:
     }
     if len(products) != G.order:
         raise InvariantViolation(f"G'Z covers only {len(products)} of {G.order} elements")
-    n_g = profile(G).n
-    derived_group = subgroup_as_group(G, d)
-    n_d = profile(derived_group).n
+    n_g = cent_count(G)
+    n_d = cent_count(subgroup_as_group(G, d))
     if n_g != n_d:
         raise InvariantViolation(
             f"|Cent({G.name})| = {n_g} but its derived subgroup has {n_d}"
@@ -469,4 +482,4 @@ def nonabelian_centralizer_check(G: FiniteGroup) -> bool:
         raise PreconditionNotMet(
             f"|G/Z| = {qz} does not exceed p^2k = {ct.p ** (2 * ct.k)}"
         )
-    return not any(_commute_pairwise(G, c.elements) for c in profile(G).proper_centralizers)
+    return not _centralizers(G).abelian[:-1].any()

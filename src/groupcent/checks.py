@@ -37,14 +37,13 @@ from .analytics import (
     is_ultraspecial,
     nonabelian_centralizer_check,
     perfect_quotient_check,
-    profile,
     _centralizers,
     _perfect_central_quotient,
+    _proper_sizes,
     _sandwich_chains,
 )
 from .core import (
     FiniteGroup,
-    _commute_pairwise,
     _commuting_matrix,
     center,
     is_abelian,
@@ -220,40 +219,22 @@ def _known_family(G: FiniteGroup) -> str | None:
 
 def _is_frobenius_prime_cyclic(G: FiniteGroup) -> bool:
     """Is G a Frobenius group with kernel of prime order q (q the largest
-    prime divisor of |G|) and a cyclic complement?"""
+    prime divisor of |G|) and a cyclic complement?
+
+    Decided as: m = |G|/q > 1, some x has order q and |C(x)| = q, and some h
+    has order m. Such an x means q^2 does not divide |G|: in a Sylow
+    q-subgroup P that holds x, <x>Z(P) centralizes x, so Z(P) lies in
+    C(x) = <x>, hence Z(P) = <x> and P lies in C(x) too. So q does not
+    divide m, and <h> meets <x> trivially by Lagrange. Then G = <x><h> is a
+    product of two cyclic groups, hence supersolvable (Huppert), where the
+    Sylow subgroup <x> for the largest prime q is normal; and as C(x) = <x>,
+    no nontrivial element of <h> fixes a nontrivial element of <x>.
+    """
     q = largest_prime_divisor(G.order)
     m = G.order // q
-    if m == 1:
-        return False
+    orders = np.asarray(G.element_orders)
     sizes = _commuting_matrix(G).sum(axis=1)
-    orders = G.element_orders
-    for x in range(G.order):
-        if orders[x] != q or sizes[x] != q:
-            continue
-        # No further tests on <x>. Its nontrivial elements all generate it, so
-        # they share C(x), of order q. And a True result makes G = <x><h> a
-        # product of two cyclic groups, hence supersolvable (Huppert), where
-        # the Sylow subgroup <x> for the largest prime q is normal anyway.
-        kernel = [x]
-        y = x
-        while True:
-            y = G.mul(y, x)
-            if y == G.identity:
-                break
-            kernel.append(y)
-        kernel_set = set(kernel)
-        for h in range(G.order):
-            if orders[h] != m:
-                continue
-            z, disjoint = h, True
-            while z != G.identity:
-                if z in kernel_set:
-                    disjoint = False
-                    break
-                z = G.mul(z, h)
-            if disjoint:
-                return True
-    return False
+    return bool(m > 1 and ((orders == q) & (sizes == q)).any() and (orders == m).any())
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +258,14 @@ def _check_co1(G, s):
 
 
 def _check_npcor1(G, s):
-    prof = profile(G)
-    contains = _centralizers(G).contains
-    prime_ones = [i for i, c in enumerate(prof.proper_centralizers) if is_prime(c.order)]
-    for i in prime_ones:
-        for j in range(len(prof.proper_centralizers)):
-            if i != j and contains[i, j]:
-                return FAIL, {"prime_centralizer": i, "containing_centralizer": j}
-    return PASS, {"prime_order_centralizers": len(prime_ones)}
+    cz, sizes = _centralizers(G), _proper_sizes(G)
+    prime = np.isin(sizes, list(filter(is_prime, np.unique(sizes).tolist())))
+    # prime-order rows i inside another proper row j; the first hit in row-major order
+    hits = cz.contains[:-1, :-1] & prime[:, None] & ~np.eye(sizes.size, dtype=bool)
+    if hits.any():
+        i, j = divmod(int(hits.argmax()), sizes.size)
+        return FAIL, {"prime_centralizer": i, "containing_centralizer": j}
+    return PASS, {"prime_order_centralizers": int(prime.sum())}
 
 
 def _check_np155(G, s):
@@ -364,11 +345,9 @@ def _check_bc1a(G, s):
     bound = (n - 2) ** 2
     if qz > bound:
         return FAIL, {"n": n, "quotient_order": qz, "bound": bound}
-    zorder = center(G).order
-    prof = profile(G)
-    stricter = all(
-        (z.order // zorder) ** 2 < qz for z in set(prof.z_of.values()) if z.order > zorder
-    )
+    # Z(x) of a non-central x holds x and Z(G), so each of these rows is larger than Z(G)
+    z_sizes = _centralizers(G).z_rows[:-1].sum(axis=1)
+    stricter = bool((((z_sizes // center(G).order) ** 2) < qz).all())
     details = {"n": n, "quotient_order": qz, "bound": bound, "strict_hypothesis": stricter}
     if stricter and qz >= bound:
         return FAIL, details
@@ -411,7 +390,7 @@ def _check_sb1(G, s):
 def _check_bbc(G, s):
     n, qz = cent_count(G), _quotient_order(G)
     details = {"n": n, "quotient_order": qz}
-    return (PASS, details) if bounds(n, qz).satisfied["factorial_bound"] else (FAIL, details)
+    return (PASS, details) if qz < math.factorial(n - 1) else (FAIL, details)
 
 
 def _check_xx(G, s):
@@ -496,25 +475,20 @@ def _check_bbu(G, s):
     if pp is None or pp[1] != 6 or not is_ultraspecial(G):
         return SKIP, {"reason": "not an ultraspecial group of order p^6"}
     n = cent_count(G)
-    prof = profile(G)
-    for c in prof.proper_centralizers:
-        if not _commute_pairwise(G, c.elements):
-            return FAIL, {"nonabelian_centralizer_order": c.order}
-    covers = bool(_centralizers(G).rows[:-1].any(axis=0).all())
+    cz = _centralizers(G)
+    if not cz.abelian[:-1].all():
+        i = int(np.argmin(cz.abelian[:-1]))
+        return FAIL, {"nonabelian_centralizer_order": int(cz.rows[i].sum())}
+    covers = bool(cz.rows[:-1].any(axis=0).all())
     qz = _quotient_order(G)
     details = {
         "n": n,
-        "abelian_proper_centralizers": len(prof.proper_centralizers),
+        "abelian_proper_centralizers": n - 1,
         "covers_group": covers,
         "quotient_order": qz,
         "ca_group": is_CA_group(G),
     }
-    ok = (
-        len(prof.proper_centralizers) == n - 1
-        and covers
-        and qz == (n - 2) ** 2
-        and details["ca_group"]
-    )
+    ok = covers and qz == (n - 2) ** 2 and details["ca_group"]
     return (PASS, details) if ok else (FAIL, details)
 
 
@@ -592,15 +566,10 @@ def _check_za1(G, s):
         return SKIP, {"reason": str(exc)}
     if ok:
         ct = conjugate_type(G)
-        return PASS, {
-            "p": ct.p,
-            "k": ct.k,
-            "proper_centralizers": len(profile(G).proper_centralizers),
-        }
-    for i, c in enumerate(profile(G).proper_centralizers):
-        if _commute_pairwise(G, c.elements):
-            return FAIL, {"abelian_centralizer": i, "order": c.order}
-    return FAIL, {"reason": "inconsistent scan"}
+        return PASS, {"p": ct.p, "k": ct.k, "proper_centralizers": cent_count(G) - 1}
+    cz = _centralizers(G)
+    i = int(np.argmax(cz.abelian[:-1]))
+    return FAIL, {"abelian_centralizer": i, "order": int(cz.rows[i].sum())}
 
 
 def _check_tom11(G, s):

@@ -33,7 +33,7 @@ class FiniteGroup:
 
     ``table[i, j]`` is the index of the product of element i by element j.
     The identity is wherever validation finds it, not pinned to index 0.
-    Derived data (center, centralizers, profile, predicates) is memoized on
+    Derived data (center, centralizer rows, predicates) is memoized on
     the instance itself, so it is computed once and freed with the group.
     """
 
@@ -269,13 +269,6 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     if not 0 <= x < G.order:
         raise BadParameter(f"element index {x} out of range")
     return _subgroup(G, np.nonzero(_commuting_matrix(G)[x])[0])
-
-
-def _commute_pairwise(G: FiniteGroup, elems: Sequence[int]) -> bool:
-    """Do the given elements commute with one another (for a subgroup: is it
-    abelian)?"""
-    h = np.asarray(elems, dtype=np.int64)
-    return bool(_commuting_matrix(G)[np.ix_(h, h)].all())
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:

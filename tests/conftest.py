@@ -25,7 +25,9 @@ from groupcent import (
     is_abelian,
     is_CA_group,
     is_F_group,
+    is_prime,
     isomorphic,
+    largest_prime_divisor,
     prime_power,
     profile,
     quaternion8,
@@ -33,7 +35,10 @@ from groupcent import (
     semidirect,
     symmetric,
 )
+from groupcent import analytics
+from groupcent.checks import FAIL, PASS, SKIP, _quotient_order
 from groupcent.core import Subgroup, _commuting_matrix
+from groupcent.errors import PreconditionNotMet
 
 
 @pytest.fixture(scope="session")
@@ -137,6 +142,21 @@ def central_series_pool():
         direct_product(s3, cyclic(4)),
     ]
     return _with_relabelled(groups, (1, 5))
+
+
+@pytest.fixture(scope="session")
+def centerless_pool():
+    """Centerless direct products, each with many centralizers, plus a
+    relabelled copy of each."""
+    s3 = symmetric(3)
+    groups = [
+        direct_product(s3, s3),
+        direct_product(alternating(4), s3),
+        direct_product(frobenius_cq_cn(5, 4, 2), s3),
+        direct_product(frobenius_cq_cn(13, 4, 5), frobenius_cq_cn(7, 3, 2)),
+        direct_product(alternating(5), s3),
+    ]
+    return _with_relabelled(groups, range(len(groups)))
 
 
 def by_check(suite_report, check_id):
@@ -358,3 +378,130 @@ def table_is_nilpotent(G):
         if np.array_equal(new, mask):
             return False
         mask = new
+
+
+def loop_is_frobenius_prime_cyclic(G):
+    """Oracle for checks._is_frobenius_prime_cyclic, as it read with a walk
+    over the powers of each candidate kernel and complement generator."""
+    q = largest_prime_divisor(G.order)
+    m = G.order // q
+    if m == 1:
+        return False
+    sizes = _commuting_matrix(G).sum(axis=1)
+    orders = G.element_orders
+    for x in range(G.order):
+        if orders[x] != q or sizes[x] != q:
+            continue
+        kernel = [x]
+        y = x
+        while True:
+            y = G.mul(y, x)
+            if y == G.identity:
+                break
+            kernel.append(y)
+        kernel_set = set(kernel)
+        for h in range(G.order):
+            if orders[h] != m:
+                continue
+            z, disjoint = h, True
+            while z != G.identity:
+                if z in kernel_set:
+                    disjoint = False
+                    break
+                z = G.mul(z, h)
+            if disjoint:
+                return True
+    return False
+
+
+def loop_check_npcor1(G, s):
+    """Oracle for the npcor1 check: a loop over the prime-order centralizers
+    and every proper one, stopping at the first containment."""
+    prof = profile(G)
+    contains = analytics._centralizers(G).contains
+    prime_ones = [i for i, c in enumerate(prof.proper_centralizers) if is_prime(c.order)]
+    for i in prime_ones:
+        for j in range(len(prof.proper_centralizers)):
+            if i != j and contains[i, j]:
+                return FAIL, {"prime_centralizer": i, "containing_centralizer": j}
+    return PASS, {"prime_order_centralizers": len(prime_ones)}
+
+
+def loop_check_bbc(G, s):
+    """Oracle for the bbc check, through the bound report."""
+    n, qz = analytics.cent_count(G), _quotient_order(G)
+    details = {"n": n, "quotient_order": qz}
+    holds = analytics.bounds(n, qz).satisfied["factorial_bound"]
+    return (PASS, details) if holds else (FAIL, details)
+
+
+def loop_check_bc1a(G, s):
+    """Oracle for the bc1a check: the distinct Z(x) subgroups of the profile."""
+    if not is_F_group(G):
+        return SKIP, {"reason": "not an F-group"}
+    n, qz = analytics.cent_count(G), _quotient_order(G)
+    bound = (n - 2) ** 2
+    if qz > bound:
+        return FAIL, {"n": n, "quotient_order": qz, "bound": bound}
+    zorder = center(G).order
+    prof = profile(G)
+    stricter = all(
+        (z.order // zorder) ** 2 < qz for z in set(prof.z_of.values()) if z.order > zorder
+    )
+    details = {"n": n, "quotient_order": qz, "bound": bound, "strict_hypothesis": stricter}
+    if stricter and qz >= bound:
+        return FAIL, details
+    return PASS, details
+
+
+def loop_check_bbu(G, s):
+    """Oracle for the bbu check: a sub-table abelian scan per centralizer."""
+    pp = prime_power(G.order)
+    if pp is None or pp[1] != 6 or not analytics.is_ultraspecial(G):
+        return SKIP, {"reason": "not an ultraspecial group of order p^6"}
+    n = analytics.cent_count(G)
+    prof = profile(G)
+    for c in prof.proper_centralizers:
+        if not loop_commute_pairwise(G, c.elements):
+            return FAIL, {"nonabelian_centralizer_order": c.order}
+    covers = bool(analytics._centralizers(G).rows[:-1].any(axis=0).all())
+    qz = _quotient_order(G)
+    details = {
+        "n": n,
+        "abelian_proper_centralizers": len(prof.proper_centralizers),
+        "covers_group": covers,
+        "quotient_order": qz,
+        "ca_group": is_CA_group(G),
+    }
+    ok = (
+        len(prof.proper_centralizers) == n - 1
+        and covers
+        and qz == (n - 2) ** 2
+        and details["ca_group"]
+    )
+    return (PASS, details) if ok else (FAIL, details)
+
+
+def loop_check_za1(G, s):
+    """Oracle for the za1 check: a sub-table abelian scan per centralizer,
+    after the precondition of nonabelian_centralizer_check."""
+    try:
+        analytics.nonabelian_centralizer_check(G)
+    except PreconditionNotMet as exc:
+        return SKIP, {"reason": str(exc)}
+    proper = profile(G).proper_centralizers
+    abelian = [i for i, c in enumerate(proper) if loop_commute_pairwise(G, c.elements)]
+    if not abelian:
+        ct = analytics.conjugate_type(G)
+        return PASS, {"p": ct.p, "k": ct.k, "proper_centralizers": len(proper)}
+    return FAIL, {"abelian_centralizer": abelian[0], "order": proper[abelian[0]].order}
+
+
+#: check id -> its loop oracle, for the checks that read the centralizer rows
+LOOP_CHECKS = {
+    "npcor1": loop_check_npcor1,
+    "bbc": loop_check_bbc,
+    "bc1a": loop_check_bc1a,
+    "bbu": loop_check_bbu,
+    "za1": loop_check_za1,
+}

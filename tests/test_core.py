@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from groupcent import (
+    CentralizerProfile,
     Subgroup,
     center,
     centralizer,
@@ -28,6 +29,7 @@ from groupcent import (
     isomorphic,
     largest_prime_divisor,
     prime_power,
+    profile,
     quaternion8,
     quotient,
     subgroup_as_group,
@@ -466,6 +468,12 @@ class TestMemoLifetime:
         del g
         gc.collect()
         assert table() is None
+
+    def test_analysis_memo_holds_no_profile(self):
+        g = from_table(symmetric(4).table, name="S4 copy")
+        build_analysis(g)
+        assert profile(g).n == 14
+        assert not any(isinstance(v, CentralizerProfile) for v in g._memo.values())
 
     def test_threads_analysing_one_cold_group_agree(self):
         g = from_table(symmetric(4).table, name="S4 copy")

@@ -1,5 +1,7 @@
 """Check registry, suite mechanics, catalog, and search."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,25 +10,41 @@ from groupcent import (
     CheckSettings,
     SearchQuery,
     alternating,
+    analytics,
     central_quotient,
     checks,
+    conjugate_type,
     cyclic,
     default_catalog,
     dihedral,
     elementary_abelian,
     extraspecial2,
     frobenius_cq_cn,
+    gf,
+    heisenberg,
+    is_abelian,
+    is_CA_group,
+    is_I_group,
     isomorphic,
+    prime_power,
     quaternion8,
     run_check,
     run_suite,
     search,
     symmetric,
 )
+from groupcent.analytics import ConjugateTypeReport
 from groupcent.checks import _known_family, _pair_verdict, _quotient_is_elementary, check_ids
 from groupcent.errors import InvariantViolation, UnknownCheckId
 
-from conftest import iso_known_family
+from conftest import (
+    LOOP_CHECKS,
+    iso_known_family,
+    loop_check_npcor1,
+    loop_commute_pairwise,
+    loop_is_frobenius_prime_cyclic,
+    loop_profile,
+)
 
 # the full check index; a registry drift is a bug
 EXPECTED_CHECK_IDS = (
@@ -105,6 +123,81 @@ class TestRunCheck:
         r9 = run_check("bbu", heisenberg(gf(3, 2)))
         assert r9.status == "pass"
         assert r9.details["abelian_proper_centralizers"] == 10
+
+
+class TestCentralizerRows:
+    @pytest.mark.parametrize(
+        "pool", ["catalog_groups", "family_pool", "central_series_pool", "centerless_pool"]
+    )
+    def test_match_loop_oracles(self, request, pool):
+        groups = request.getfixturevalue(pool)
+        s = CheckSettings()
+        for g in groups.values() if isinstance(groups, dict) else groups:
+            if is_abelian(g):
+                continue
+            frob = checks._is_frobenius_prime_cyclic(g)
+            assert frob == loop_is_frobenius_prime_cyclic(g), g.name
+            for cid, loop in LOOP_CHECKS.items():
+                got = run_check(cid, g, s)
+                assert (got.status, dict(got.details)) == loop(g, s), (cid, g.name)
+                json.dumps(got.details)
+            proper, _ = loop_profile(g)
+            assert is_CA_group(g) == all(loop_commute_pairwise(g, c) for c in proper), g.name
+            orders = {len(c) for c in proper}
+            assert is_I_group(g) == (len(orders) == 1), g.name
+            indices = {g.order // o for o in orders}
+            want = ConjugateTypeReport(is_uniform=False)
+            if len(indices) == 1:
+                m = indices.pop()
+                want = ConjugateTypeReport(True, m, *(prime_power(m) or (None, None)))
+            ct = conjugate_type(g)
+            assert ct == want, g.name
+            json.dumps([ct.m, ct.p, ct.k])
+
+    def test_npcor1_names_the_first_containment_in_row_major_order(self, monkeypatch):
+        # no group fails npcor1, so plant containments in A5's rows: rows 0-9
+        # are its C3s, 10-14 its V4s (not of prime order) and 15-20 its C5s
+        g = alternating(5)
+        real = analytics._centralizers(g)
+        assert real.rows[[0, 10, 15, 20]].sum(axis=1).tolist() == [3, 4, 5, 5]
+        contains = real.contains.copy()
+        for i, j in ((10, 0), (16, 2), (15, 20)):
+            assert not contains[i, j]
+            contains[i, j] = True
+        fake = real._replace(contains=contains)
+        for module in (analytics, checks):
+            monkeypatch.setattr(module, "_centralizers", lambda G: fake)
+        got = run_check("npcor1", g)
+        assert (got.status, dict(got.details)) == loop_check_npcor1(g, CheckSettings())
+        assert got.details == {"prime_centralizer": 15, "containing_centralizer": 20}
+
+    def test_planted_abelian_rows(self, monkeypatch):
+        # no group is a counterexample to za1 or bbu, so plant abelian flags:
+        # E128 meets za1's hypothesis, Heis(4) is ultraspecial of order 2^6
+        real = analytics._centralizers
+
+        def plant(g, rows, value):
+            cz = real(g)
+            abelian = np.array(cz.abelian)
+            abelian[rows] = value
+            fake = cz._replace(abelian=abelian)
+            for module in (analytics, checks):
+                monkeypatch.setattr(module, "_centralizers", lambda G: fake)
+            return cz.rows.shape[0] - 1
+
+        g = extraspecial2(3, "plus")
+        last = plant(g, [-2], True)
+        assert not analytics.nonabelian_centralizer_check(g)
+        assert run_check("za1", g).details == {"abelian_centralizer": last - 1, "order": 64}
+        plant(g, [5, -2], True)
+        assert run_check("za1", g).details == {"abelian_centralizer": 5, "order": 64}
+        g = extraspecial2(3, "plus")
+        plant(g, slice(0, -2), True)
+        assert not is_CA_group(g)
+        g = heisenberg(gf(2, 2))
+        plant(g, [3], False)
+        r = run_check("bbu", g)
+        assert (r.status, r.details) == ("fail", {"nonabelian_centralizer_order": 16})
 
 
 class TestRecognition:
