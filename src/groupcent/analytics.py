@@ -21,11 +21,12 @@ from .core import (
     FiniteGroup,
     QuotientResult,
     Subgroup,
+    _center_elements,
     _commuting_matrix,
+    _derived_elements,
     _generators,
     _is_closed,
     center,
-    conjugate_elements,
     derived_subgroup,
     is_abelian,
     memoized,
@@ -170,9 +171,20 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     return cz
 
 
-@memoized
 def central_quotient(G: FiniteGroup) -> QuotientResult:
+    """G/Z(G) with its projection: a public view, built and validated on each
+    call. Nothing in the package calls it; it reads G/Z through coset labels."""
     return quotient(G, center(G))
+
+
+@memoized
+def _central_cosets(G: FiniteGroup) -> np.ndarray:
+    """Entry x is the label of the coset xZ(G), numbered as ``quotient``
+    numbers G/Z: by the rank of the least element of each coset."""
+    canon = G.table[:, _center_elements(G)].min(axis=1)
+    label = np.unique(canon, return_inverse=True)[1].astype(np.int32)
+    label.setflags(write=False)
+    return label
 
 
 def profile(G: FiniteGroup) -> CentralizerProfile:
@@ -242,46 +254,48 @@ def conjugate_type(G: FiniteGroup) -> ConjugateTypeReport:
 def central_partition(G: FiniteGroup) -> PartitionReport:
     """Project the distinct Z(x) into G/Z(G) and test partition/normality.
 
-    This is computed from the quotient directly, independent of the
+    This is computed from the coset labels of G/Z, independent of the
     centralizer-containment route used by is_F_group, so the two can be
     cross-validated against each other.
     """
     z_rows = _centralizers(G).z_rows[:-1]
-    qr = central_quotient(G)
-    q = qr.quotient
-    proj = np.asarray(qr.projection, dtype=np.int64)
+    label = _central_cosets(G)
+    reps = np.unique(label, return_index=True)[1]
+    # Z(x) contains Z(G), so it is the union of the cosets whose least element it holds
+    images = z_rows.take(reps, axis=1)
+    cols = np.nonzero(images)[1].tolist()
+    ends = np.count_nonzero(images, axis=1).cumsum().tolist()
+    comps = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
+    order = sorted(range(len(comps)), key=lambda i: (len(comps[i]), comps[i]))
+    components = tuple(comps[i] for i in order)
 
-    seen = {tuple(np.unique(proj[z]).tolist()) for z in z_rows}
-    components = tuple(sorted(seen, key=lambda e: (len(e), e)))
-
-    for comp in components:
-        if len(comp) < 2 or not _is_closed(q, np.asarray(comp, dtype=np.int64)):
+    for comp, z in zip(comps, z_rows):
+        if len(comp) < 2 or not _is_closed(G, np.flatnonzero(z)):
             raise InvariantViolation("a projected component is not a nontrivial subgroup")
 
+    # the nontrivial cosets of the components, scanned in component order
+    scan = images[order]
+    hit = scan.any(axis=0)  # the identity coset lies in every component
+    scan[:, label[G.identity]] = False
+    owner, coset = np.nonzero(scan)
+    repeat = np.setdiff1d(np.arange(coset.size), np.unique(coset, return_index=True)[1])
     witness = None
-    owner: dict[int, int] = {}
-    is_partition = True
-    for i, comp in enumerate(components):
-        for e in comp:
-            if e == q.identity:
-                continue
-            if e in owner:
-                is_partition = False
-                witness = {"kind": "overlap", "element": e, "components": [owner[e], i]}
-                break
-            owner[e] = i
-        if not is_partition:
-            break
-    if is_partition and len(owner) != q.order - 1:
-        missing = next(e for e in range(q.order) if e != q.identity and e not in owner)
-        is_partition = False
-        witness = {"kind": "uncovered", "element": missing}
+    if repeat.size:
+        j = repeat[0]
+        first = int(owner[np.argmax(coset == coset[j])])
+        witness = {"kind": "overlap", "element": int(coset[j]), "components": [first, int(owner[j])]}
+    elif not hit.all():
+        witness = {"kind": "uncovered", "element": int(hit.argmin())}
+    is_partition = witness is None
 
-    # the family is normal iff conjugating by each generator keeps it
-    comp_sets = {frozenset(c) for c in components}
+    # the family is normal iff conjugating by each generator of G keeps it;
+    # the coset of b lies in g^-1 C g iff the coset of g b g^-1 lies in C
+    family = set(map(bytes, np.packbits(scan, axis=1)))
+    t, inv = G.table, G.inverses
     moved = next(
-        ((g, i) for g in _generators(q) for i, comp in enumerate(components)
-         if frozenset(conjugate_elements(q, comp, g).tolist()) not in comp_sets),
+        ((int(label[g]), i) for g in _generators(G)
+         for i, row in enumerate(np.packbits(scan.take(label[t[t[g, reps], inv[g]]], axis=1), axis=1))
+         if bytes(row) not in family),
         None,
     )
     if moved is not None and witness is None:
@@ -299,6 +313,15 @@ def _p_group_prime(G: FiniteGroup) -> int | None:
     return pp[0] if pp else None
 
 
+def _pth_powers_central(G: FiniteGroup, p: int) -> bool:
+    """Does x^p lie in Z(G) for every x, that is, is (xZ)^p = 1 in G/Z?"""
+    xs = power = np.arange(G.order)
+    for _ in range(p - 1):
+        power = G.table[power, xs]
+    label = _central_cosets(G)
+    return bool((label[power] == label[G.identity]).all())
+
+
 @memoized
 def is_semi_extraspecial(G: FiniteGroup) -> bool:
     """G/N is extraspecial for every maximal subgroup N of the center.
@@ -310,27 +333,24 @@ def is_semi_extraspecial(G: FiniteGroup) -> bool:
     p = _p_group_prime(G)
     if p is None:
         return False
-    zg = center(G)
-    if not 1 < zg.order < G.order or derived_subgroup(G).elements != zg.elements:
-        return False
-    if any(o not in (1, p) for o in central_quotient(G).quotient.element_orders):
+    zg = _center_elements(G)
+    if not 1 < zg.size < G.order or not np.array_equal(_derived_elements(G), zg):
         return False
     # central x have |C(x)| = |G|; the others need index |Z|
     sizes = _commuting_matrix(G).sum(axis=1)
-    return bool(np.isin(sizes, (G.order, G.order // zg.order)).all())
+    return _pth_powers_central(G, p) and bool(np.isin(sizes, (G.order, G.order // zg.size)).all())
 
 
 def is_extraspecial(G: FiniteGroup) -> bool:
     """Z(G) = G' of prime order p, with G/Z elementary abelian."""
-    return is_semi_extraspecial(G) and center(G).order == _p_group_prime(G)
+    return is_semi_extraspecial(G) and _center_elements(G).size == _p_group_prime(G)
 
 
 def is_ultraspecial(G: FiniteGroup) -> bool:
     """Semi-extraspecial with |G'| equal to the square root of [G : G']."""
     if not is_semi_extraspecial(G):
         return False
-    d = derived_subgroup(G).order
-    return d**3 == G.order
+    return _derived_elements(G).size ** 3 == G.order
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +438,20 @@ def gcd_condition(n: int, q_order: int) -> bool:
 @memoized
 def _sandwich_chains(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """Entry x is (|C(x)|/|Z(G)|, |C(x Z)| in G/Z, |C(x)|)."""
-    qr = central_quotient(G)
+    label = _central_cosets(G)
+    reps = np.unique(label, return_index=True)[1]
+    # xZ and yZ commute iff the labels of xy and yx agree
+    lt = label[G.table[np.ix_(reps, reps)]]
+    middle = (lt == lt.T).sum(axis=1)[label]
     upper = _commuting_matrix(G).sum(axis=1)
-    middle = _commuting_matrix(qr.quotient).sum(axis=1)[np.asarray(qr.projection)]
-    return tuple(map(tuple, np.stack([upper // center(G).order, middle, upper], 1).tolist()))
+    return tuple(map(tuple, np.stack([upper // _center_elements(G).size, middle, upper], 1).tolist()))
 
 
 def quotient_centralizer_sandwich(G: FiniteGroup, x: int) -> tuple[int, int, int]:
     """(|C(x)|/|Z(G)|, |C(x Z)| in G/Z, |C(x)|) with the chain asserted."""
     if not 0 <= x < G.order:
         raise BadParameter(f"element index {x} out of range")
-    if x in center(G).element_set:
+    if x in _center_elements(G):
         raise CentralElementError(f"element {x} is central")
     chain = lower, middle, upper = _sandwich_chains(G)[x]
     if not lower <= middle <= upper:
@@ -440,8 +463,8 @@ def quotient_centralizer_sandwich(G: FiniteGroup, x: int) -> tuple[int, int, int
 
 def _perfect_central_quotient(G: FiniteGroup) -> bool:
     # (G/Z)' = G'Z/Z, so G/Z is perfect iff |G'Z| = |G'| |Z| / |G' n Z| is |G|
-    d, z = derived_subgroup(G), center(G)
-    return d.order * z.order == G.order * len(d.element_set & z.element_set)
+    d, z = _derived_elements(G), _center_elements(G)
+    return d.size * z.size == G.order * np.intersect1d(d, z, assume_unique=True).size
 
 
 def perfect_quotient_check(G: FiniteGroup) -> PerfectQuotientReport:
@@ -452,13 +475,9 @@ def perfect_quotient_check(G: FiniteGroup) -> PerfectQuotientReport:
     if not _perfect_central_quotient(G):
         raise NotPerfectQuotient(f"central quotient of {G.name} is not perfect")
     d = derived_subgroup(G)
-    z = center(G)
-    products = {
-        int(v)
-        for v in G.table[np.ix_(np.asarray(d.elements), np.asarray(z.elements))].ravel()
-    }
-    if len(products) != G.order:
-        raise InvariantViolation(f"G'Z covers only {len(products)} of {G.order} elements")
+    covered = np.unique(G.table[np.ix_(_derived_elements(G), _center_elements(G))]).size
+    if covered != G.order:
+        raise InvariantViolation(f"G'Z covers only {covered} of {G.order} elements")
     n_g = cent_count(G)
     n_d = cent_count(subgroup_as_group(G, d))
     if n_g != n_d:
@@ -477,7 +496,7 @@ def nonabelian_centralizer_check(G: FiniteGroup) -> bool:
     ct = conjugate_type(G)
     if not ct.is_uniform or ct.p is None:
         raise PreconditionNotMet(f"{G.name} is not of uniform prime-power conjugate type")
-    qz = G.order // center(G).order
+    qz = G.order // _center_elements(G).size
     if qz <= ct.p ** (2 * ct.k):
         raise PreconditionNotMet(
             f"|G/Z| = {qz} does not exceed p^2k = {ct.p ** (2 * ct.k)}"

@@ -25,7 +25,6 @@ from . import specs
 from .analytics import (
     bounds,
     central_partition,
-    central_quotient,
     cent_count,
     conjugate_type,
     exp_bound_holds,
@@ -37,17 +36,19 @@ from .analytics import (
     is_ultraspecial,
     nonabelian_centralizer_check,
     perfect_quotient_check,
+    _central_cosets,
     _centralizers,
     _perfect_central_quotient,
     _proper_sizes,
+    _pth_powers_central,
     _sandwich_chains,
 )
 from .core import (
     FiniteGroup,
+    _center_elements,
     _commuting_matrix,
-    center,
+    _derived_elements,
     is_abelian,
-    is_elementary_abelian,
     is_nilpotent,
     is_prime,
     largest_prime_divisor,
@@ -185,13 +186,14 @@ def _pair_verdict(G, s, pairs: np.ndarray, ok: np.ndarray, names: tuple[str, str
 
 
 def _quotient_order(G: FiniteGroup) -> int:
-    return G.order // center(G).order
+    return G.order // _center_elements(G).size
 
 
 def _quotient_is_elementary(G: FiniteGroup, p: int, k: int) -> bool:
-    """Is G/Z isomorphic to C_p^k?"""
-    q = central_quotient(G).quotient
-    return q.order == p**k and is_elementary_abelian(q, p)
+    """Is G/Z isomorphic to C_p^k: of order p^k, abelian (G' <= Z) and of exponent p?"""
+    label = _central_cosets(G)
+    abelian = (label[_derived_elements(G)] == label[G.identity]).all()
+    return bool(_quotient_order(G) == p**k and abelian and _pth_powers_central(G, p))
 
 
 @memoized
@@ -205,7 +207,7 @@ def _known_family(G: FiniteGroup) -> str | None:
     and m involutions has them all outside <a>, so every b outside <a> and
     ab are involutions, bab = a^-1, and it is dihedral."""
     n, orders = G.order, G.element_orders
-    if n == 12 and center(G).order == 1:
+    if n == 12 and _center_elements(G).size == 1:
         return "A4"
     if n == 8 and not is_abelian(G):
         return "Q8" if orders.count(2) == 1 else "D8"
@@ -269,7 +271,7 @@ def _check_npcor1(G, s):
 
 
 def _check_np155(G, s):
-    central = center(G).element_set
+    central = set(_center_elements(G).tolist())
     for x, (lower, middle, upper) in enumerate(_sandwich_chains(G)):
         if x not in central and not lower <= middle <= upper:
             return FAIL, {"x": x, "chain": [lower, middle, upper]}
@@ -278,7 +280,7 @@ def _check_np155(G, s):
 
 def _check_zclass1(G, s):
     cz = _centralizers(G)
-    pairs = _pairs(G, s, [x for x in G.elements() if x not in center(G).element_set])
+    pairs = _pairs(G, s, np.flatnonzero(~cz.z_rows[-1]).tolist())
     x, g = pairs[:, 0], pairs[:, 1]
     t, inv = G.table, G.inverses
     # pull[i, b] = g b g^-1 for the pair's g: b lies in g^-1 Z(x) g iff pull[i, b] lies in Z(x)
@@ -347,7 +349,7 @@ def _check_bc1a(G, s):
         return FAIL, {"n": n, "quotient_order": qz, "bound": bound}
     # Z(x) of a non-central x holds x and Z(G), so each of these rows is larger than Z(G)
     z_sizes = _centralizers(G).z_rows[:-1].sum(axis=1)
-    stricter = bool((((z_sizes // center(G).order) ** 2) < qz).all())
+    stricter = bool((((z_sizes // _center_elements(G).size) ** 2) < qz).all())
     details = {"n": n, "quotient_order": qz, "bound": bound, "strict_hypothesis": stricter}
     if stricter and qz >= bound:
         return FAIL, details
@@ -493,7 +495,7 @@ def _check_bbu(G, s):
 
 
 def _check_np12a(G, s):
-    if center(G).order > 1:
+    if _center_elements(G).size > 1:
         return SKIP, {"reason": "center is nontrivial"}
     q = largest_prime_divisor(G.order)
     n = cent_count(G)
@@ -505,7 +507,7 @@ def _check_np12a(G, s):
 
 
 def _check_np12b(G, s):
-    if center(G).order > 1:
+    if _center_elements(G).size > 1:
         return SKIP, {"reason": "center is nontrivial"}
     n = cent_count(G)
     if n > G.order - 1:
@@ -517,7 +519,7 @@ def _check_np12b(G, s):
 
 
 def _check_t1(G, s):
-    if center(G).order == 1:
+    if _center_elements(G).size == 1:
         return SKIP, {"reason": "center is trivial"}
     n = cent_count(G)
     if 2 * n > G.order:
@@ -635,7 +637,7 @@ def run_check(check_id: str, G: FiniteGroup, settings: CheckSettings | None = No
 
 def _expected_result(entry: CatalogEntry, G: FiniteGroup) -> CheckResult:
     """Validate an entry's expected attributes against measured values."""
-    measured: dict = {"order": G.order, "center_order": center(G).order}
+    measured: dict = {"order": G.order, "center_order": _center_elements(G).size}
     if not is_abelian(G):
         measured["cent_count"] = cent_count(G)
         ct = conjugate_type(G)
@@ -732,13 +734,13 @@ def search(query: SearchQuery, catalog: Iterable[CatalogEntry] | None = None) ->
             continue
         if query.restrict == "ca" and not ca_flag:
             continue
-        n = cent_count(G)
-        if pred(n, G.order, center(G).order):
+        n, z = cent_count(G), _center_elements(G).size
+        if pred(n, G.order, z):
             hits.append(
                 SearchHit(
                     name=entry.name,
                     order=G.order,
-                    center_order=center(G).order,
+                    center_order=z,
                     cent_count=n,
                     f_group=f_flag,
                     ca_group=ca_flag,

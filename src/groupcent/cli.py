@@ -27,7 +27,7 @@ from .analytics import (
     is_ultraspecial,
 )
 from .checks import CatalogEntry, CheckSettings, SearchQuery
-from .core import FiniteGroup, center, is_abelian, is_cyclic, is_nilpotent, is_perfect
+from .core import FiniteGroup, _center_elements, is_abelian, is_cyclic, is_nilpotent, is_perfect
 from .errors import GroupTheoryError, SpecParseError
 from .specs import build_group, load_cayley, load_permutations, parse_spec, save_cayley
 
@@ -72,7 +72,7 @@ def build_analysis(G: FiniteGroup, settings: CheckSettings | None = None) -> dic
     body: dict = {
         "group": G.name,
         "order": G.order,
-        "center_order": center(G).order,
+        "center_order": _center_elements(G).size,
         "cent_count": None if abelian else cent_count(G),
     }
     if abelian:
@@ -113,7 +113,7 @@ def build_analysis(G: FiniteGroup, settings: CheckSettings | None = None) -> dic
             "component_sizes": sorted(len(c) for c in part.components),
             "witness": dict(part.witness) if part.witness else None,
         }
-        rep = bounds(cent_count(G), G.order // center(G).order)
+        rep = bounds(cent_count(G), G.order // body["center_order"])
         body["bounds"] = {
             "n": rep.n,
             "quotient_order": rep.q_order,

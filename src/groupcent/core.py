@@ -33,8 +33,9 @@ class FiniteGroup:
 
     ``table[i, j]`` is the index of the product of element i by element j.
     The identity is wherever validation finds it, not pinned to index 0.
-    Derived data (center, centralizer rows, predicates) is memoized on
-    the instance itself, so it is computed once and freed with the group.
+    Derived data (center, centralizer rows, predicates) is memoized on the
+    instance as arrays and plain values that never point back at the group,
+    so it is computed once, and a dropped group is freed at once by refcount.
     """
 
     __slots__ = ("name", "order", "table", "identity", "inverses", "element_orders", "_memo")
@@ -259,9 +260,16 @@ def _commuting_matrix(G: FiniteGroup) -> np.ndarray:
 
 
 @memoized
+def _center_elements(G: FiniteGroup) -> np.ndarray:
+    """Z(G) as a sorted read-only index array."""
+    z = np.flatnonzero(_commuting_matrix(G).all(axis=1))
+    z.setflags(write=False)
+    return z
+
+
 def center(G: FiniteGroup) -> Subgroup:
-    """Elements commuting with everything."""
-    return _subgroup(G, np.nonzero(_commuting_matrix(G).all(axis=1))[0])
+    """Elements commuting with everything; a view built on each call."""
+    return Subgroup(G, tuple(_center_elements(G).tolist()))
 
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:
@@ -322,10 +330,10 @@ def _generator_commutators(G: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
 
 
 @memoized
-def derived_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators; normal in G. It is the normal
-    closure N of the generators' commutators: G/N is generated by images
-    that commute, so it is abelian and G' <= N; N <= G' as G' is normal."""
+def _derived_elements(G: FiniteGroup) -> np.ndarray:
+    """G' as a sorted read-only index array. It is the normal closure N of
+    the generators' commutators: G/N is generated by images that commute,
+    so it is abelian and G' <= N; N <= G' as G' is normal."""
     gens = _generators(G)
     h = generated_subgroup(G, _generator_commutators(G, gens).ravel())
     while True:
@@ -333,8 +341,14 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
         images = [conjugate_elements(G, elems, g) for g in gens]
         grown = np.unique(np.concatenate([elems, *images]))
         if grown.size == elems.size:
-            return h
+            elems.setflags(write=False)
+            return elems
         h = generated_subgroup(G, grown)
+
+
+def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """Subgroup generated by all commutators; normal in G; a view built per call."""
+    return Subgroup(G, tuple(_derived_elements(G).tolist()))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
@@ -372,10 +386,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed as a * |B| + b."""
     na, nb = A.order, B.order
-    table = (
-        A.table[:, None, :, None].astype(np.int64) * nb
-        + B.table[None, :, None, :]
-    ).reshape(na * nb, na * nb)
+    table = (A.table[:, None, :, None] * nb + B.table[None, :, None, :]).reshape(na * nb, na * nb)
     return from_table(table, name=f"{A.name}x{B.name}")
 
 
@@ -474,7 +485,7 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 
 
 def is_perfect(G: FiniteGroup) -> bool:
-    return derived_subgroup(G).order == G.order
+    return _derived_elements(G).size == G.order
 
 
 # ---------------------------------------------------------------------------

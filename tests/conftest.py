@@ -25,6 +25,7 @@ from groupcent import (
     is_abelian,
     is_CA_group,
     is_F_group,
+    is_elementary_abelian,
     is_prime,
     isomorphic,
     largest_prime_divisor,
@@ -37,8 +38,14 @@ from groupcent import (
 )
 from groupcent import analytics
 from groupcent.checks import FAIL, PASS, SKIP, _quotient_order
-from groupcent.core import Subgroup, _commuting_matrix
-from groupcent.errors import PreconditionNotMet
+from groupcent.core import (
+    Subgroup,
+    _commuting_matrix,
+    _generators,
+    _is_closed,
+    conjugate_elements,
+)
+from groupcent.errors import InvariantViolation, PreconditionNotMet
 
 
 @pytest.fixture(scope="session")
@@ -304,6 +311,76 @@ def quotient_is_extraspecial(G):
         return False
     q = central_quotient(G).quotient
     return all(o in (1, p) for o in q.element_orders)
+
+
+def quotient_central_partition(G):
+    """Oracle for central_partition, as it read over the rebuilt central
+    quotient: project each Z(x) through its projection and scan the
+    components of G/Z."""
+    z_rows = analytics._centralizers(G).z_rows[:-1]
+    qr = central_quotient(G)
+    q = qr.quotient
+    proj = np.asarray(qr.projection, dtype=np.int64)
+
+    seen = {tuple(np.unique(proj[z]).tolist()) for z in z_rows}
+    components = tuple(sorted(seen, key=lambda e: (len(e), e)))
+
+    for comp in components:
+        if len(comp) < 2 or not _is_closed(q, np.asarray(comp, dtype=np.int64)):
+            raise InvariantViolation("a projected component is not a nontrivial subgroup")
+
+    witness = None
+    owner: dict[int, int] = {}
+    is_partition = True
+    for i, comp in enumerate(components):
+        for e in comp:
+            if e == q.identity:
+                continue
+            if e in owner:
+                is_partition = False
+                witness = {"kind": "overlap", "element": e, "components": [owner[e], i]}
+                break
+            owner[e] = i
+        if not is_partition:
+            break
+    if is_partition and len(owner) != q.order - 1:
+        missing = next(e for e in range(q.order) if e != q.identity and e not in owner)
+        is_partition = False
+        witness = {"kind": "uncovered", "element": missing}
+
+    # the family is normal iff conjugating by each generator keeps it
+    comp_sets = {frozenset(c) for c in components}
+    moved = next(
+        ((g, i) for g in _generators(q) for i, comp in enumerate(components)
+         if frozenset(conjugate_elements(q, comp, g).tolist()) not in comp_sets),
+        None,
+    )
+    if moved is not None and witness is None:
+        witness = {"kind": "not-normal", "conjugator": moved[0], "component": moved[1]}
+
+    return analytics.PartitionReport(components, is_partition, moved is None, witness)
+
+
+def quotient_sandwich_chains(G):
+    """Oracle for the sandwich chains: |C(xZ)| read from the commuting
+    matrix of the rebuilt central quotient."""
+    qr = central_quotient(G)
+    upper = _commuting_matrix(G).sum(axis=1)
+    middle = _commuting_matrix(qr.quotient).sum(axis=1)[np.asarray(qr.projection)]
+    return tuple(map(tuple, np.stack([upper // center(G).order, middle, upper], 1).tolist()))
+
+
+def quotient_has_exponent(G, p):
+    """Oracle for the x^p-in-Z test: every element of the rebuilt G/Z has
+    order 1 or p."""
+    return all(o in (1, p) for o in central_quotient(G).quotient.element_orders)
+
+
+def quotient_is_elementary(G, p, k):
+    """Oracle for checks._quotient_is_elementary: is the rebuilt G/Z
+    elementary abelian of order p^k?"""
+    q = central_quotient(G).quotient
+    return q.order == p**k and is_elementary_abelian(q, p)
 
 
 def loop_index_p_subgroups(G, H, p):

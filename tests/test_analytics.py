@@ -1,5 +1,8 @@
 """Centralizer profiles, partitions, predicates, bounds."""
 
+import random
+
+import numpy as np
 import pytest
 
 from groupcent import (
@@ -29,6 +32,7 @@ from groupcent import (
     is_perfect,
     is_semi_extraspecial,
     is_ultraspecial,
+    is_abelian,
     isomorphic,
     nonabelian_centralizer_check,
     perfect_quotient_check,
@@ -41,7 +45,9 @@ from groupcent import (
     center,
     prime_power,
 )
+from groupcent import analytics, checks
 from groupcent.analytics import _perfect_central_quotient
+from groupcent.checks import _quotient_is_elementary
 from groupcent.errors import (
     AbelianGroupError,
     BadN,
@@ -53,7 +59,11 @@ from groupcent.errors import (
 
 from conftest import (
     assert_centralizers_match_loops,
+    quotient_central_partition,
+    quotient_has_exponent,
+    quotient_is_elementary,
     quotient_is_extraspecial,
+    quotient_sandwich_chains,
     quotient_semi_extraspecial,
     relabel_group,
     special_linear2,
@@ -201,6 +211,51 @@ class TestCentralPartition:
         ):
             rep = central_partition(g)
             assert is_F_group(g) == (rep.is_partition and rep.is_normal)
+
+
+class TestCosetLabels:
+    @pytest.mark.parametrize(
+        "pool",
+        ["catalog_groups", "semi_pool", "family_pool", "central_series_pool", "centerless_pool"],
+    )
+    def test_match_quotient_oracles(self, request, pool):
+        groups = request.getfixturevalue(pool)
+        if isinstance(groups, dict):
+            groups = list(groups.values())
+            groups += [
+                relabel_group(g, random.Random(g.order).sample(range(g.order), g.order))
+                for g in groups if g.order <= 128 and not is_abelian(g)
+            ]
+        for g in groups:
+            assert analytics._central_cosets(g).tolist() == list(central_quotient(g).projection)
+            for p in (2, 3, 5):
+                assert analytics._pth_powers_central(g, p) == quotient_has_exponent(g, p), g.name
+                for k in (2, 4):
+                    want = quotient_is_elementary(g, p, k)
+                    assert _quotient_is_elementary(g, p, k) == want, (g.name, p, k)
+            if is_abelian(g):
+                continue
+            assert central_partition(g) == quotient_central_partition(g), g.name
+            assert analytics._sandwich_chains(g) == quotient_sandwich_chains(g), g.name
+
+    def test_planted_uncovered_coset(self, monkeypatch):
+        # every real family covers G/Z, so drop one reflection's Z(x) from a
+        # relabelled S3: the rest neither covers G/Z nor is conjugation-closed
+        g = relabel_group(symmetric(3), [4, 2, 5, 0, 3, 1])
+        real = analytics._centralizers(g)
+        fake = real._replace(z_rows=real.z_rows[1:])
+        monkeypatch.setattr(analytics, "_centralizers", lambda G: fake)
+        rep = central_partition(g)
+        assert rep == quotient_central_partition(g)
+        assert rep.witness["kind"] == "uncovered" and not rep.is_normal
+
+    def test_planted_nonabelian_quotient(self, monkeypatch):
+        # no group here has a non-abelian G/Z of order p^4 and exponent p, so
+        # plant G' = G in Heis(9), whose G/Z is C3^4
+        g = heisenberg(gf(3, 2))
+        assert _quotient_is_elementary(g, 3, 4)
+        monkeypatch.setattr(checks, "_derived_elements", lambda G: np.arange(G.order))
+        assert not _quotient_is_elementary(g, 3, 4)
 
 
 class TestSpecialPGroups:

@@ -1,5 +1,6 @@
 """Table construction, subgroup machinery, quotients, recognizers."""
 
+import dataclasses
 import gc
 import sys
 import threading
@@ -10,6 +11,8 @@ import pytest
 
 from groupcent import (
     CentralizerProfile,
+    FiniteGroup,
+    QuotientResult,
     Subgroup,
     center,
     centralizer,
@@ -455,6 +458,20 @@ class TestNumberTheoryHelpers:
         assert prime_power(7) == (7, 1)
 
 
+def _holds_group_object(value) -> bool:
+    """Is value, or anything inside it, a FiniteGroup, Subgroup or
+    QuotientResult?"""
+    if isinstance(value, (FiniteGroup, Subgroup, QuotientResult)):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_group_object(v) for v in value.items())
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return any(_holds_group_object(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return any(_holds_group_object(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return False
+
+
 class TestMemoLifetime:
     @pytest.mark.parametrize(
         "build",
@@ -468,6 +485,21 @@ class TestMemoLifetime:
         del g
         gc.collect()
         assert table() is None
+
+    def test_freed_without_cycle_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for build in (lambda: from_table(symmetric(4).table, name="S4 copy"), lambda: dihedral(64)):
+                g = build()
+                build_analysis(g)
+                assert not any(_holds_group_object(v) for v in g._memo.values()), g.name
+                table = weakref.ref(g.table)
+                del g
+                assert table() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_analysis_memo_holds_no_profile(self):
         g = from_table(symmetric(4).table, name="S4 copy")
