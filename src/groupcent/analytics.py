@@ -136,6 +136,10 @@ def _containment(rows: np.ndarray) -> np.ndarray:
 def _centralizers(G: FiniteGroup) -> _Centralizers:
     """The one centralizer representation every predicate and check reads.
 
+    The distinct rows of K are found by one 1-D ``np.unique`` over the
+    packed rows, each viewed as a single byte string; the canonical sort
+    after it fixes the row order.
+
     Raises AbelianGroupError for abelian input, where the only centralizer
     is the group itself, and InvariantViolation if the rows break the
     count, sandwich or covering facts that hold in every group.
@@ -143,9 +147,10 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     if is_abelian(G):
         raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
     k = _commuting_matrix(G)
-    _, first, inverse = np.unique(
-        np.packbits(k, axis=1), axis=0, return_index=True, return_inverse=True
-    )
+    packed = np.packbits(k, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
+    del packed, keys  # freed before the row gathers below
     elems = [np.flatnonzero(k[x]).tolist() for x in first]
     # G is the one row of size |G|, so it sorts last
     canon = sorted(range(first.size), key=lambda i: (len(elems[i]), elems[i]))
@@ -467,9 +472,11 @@ def _perfect_central_quotient(G: FiniteGroup) -> bool:
     return d.size * z.size == G.order * np.intersect1d(d, z, assume_unique=True).size
 
 
+@memoized
 def perfect_quotient_check(G: FiniteGroup) -> PerfectQuotientReport:
     """For G with perfect central quotient: G' * Z = G and the centralizer
-    counts of G and G' agree. Raises InvariantViolation if either fails."""
+    counts of G and G' agree. Raises InvariantViolation if either fails.
+    The report holds only ints, so G' as a group is built once and dropped."""
     if is_abelian(G):
         raise NotPerfectQuotient(f"{G.name} is abelian")
     if not _perfect_central_quotient(G):

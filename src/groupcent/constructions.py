@@ -114,8 +114,18 @@ def _parity(p: tuple[int, ...]) -> int:
 
 
 def _tabulate_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_compose(a, b)] for b in perms] for a in perms]
+    """Table of a sorted list of permutations closed under composition.
+
+    ``P[:, P]`` composes every pair at once (a then b gives a[b]). Each row,
+    read as big-endian unsigned bytes, is one string that sorts as its tuple
+    does, so ``searchsorted`` on the sorted list ranks the composites.
+    """
+    d = len(perms[0])
+    P = np.array(perms, dtype=np.min_scalar_type(d).newbyteorder(">"))
+    m = P.shape[0]
+    row = np.dtype((np.void, P.itemsize * d))
+    keys = P.view(row).ravel()
+    table = np.searchsorted(keys, np.ascontiguousarray(P[:, P]).view(row).reshape(m, m))
     return from_table(table, name=name)
 
 

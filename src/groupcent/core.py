@@ -36,9 +36,13 @@ class FiniteGroup:
     Derived data (center, centralizer rows, predicates) is memoized on the
     instance as arrays and plain values that never point back at the group,
     so it is computed once, and a dropped group is freed at once by refcount.
+    ``from_table`` also keeps the generating set it validated on, so no
+    analysis has to find one again.
     """
 
-    __slots__ = ("name", "order", "table", "identity", "inverses", "element_orders", "_memo")
+    __slots__ = (
+        "name", "order", "table", "identity", "inverses", "element_orders", "_gens", "_memo",
+    )
 
     def __init__(
         self,
@@ -54,6 +58,7 @@ class FiniteGroup:
         self.identity = int(identity)
         self.inverses = inverses
         self.element_orders = element_orders
+        self._gens: tuple[int, ...] | None = None
         self._memo: dict = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -138,9 +143,20 @@ def _subgroup(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted({int(m) for m in members})))
 
 
-def _greedy_generators(table: np.ndarray, identity: int) -> list[int]:
+def _greedy_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
     """Small generating set found by repeatedly adjoining the first element
-    outside the closure of what we already have."""
+    outside the closure of what we already have.
+
+    The closure grows a right coset at a time. When g is adjoined to the
+    reached set H, it marks Hg; then for each new representative r and each
+    generator s with t = rs unreached, it marks the coset Ht in one gather
+    and takes t as a new representative. In a group these cosets fill the
+    subgroup generated so far, so the pick rule sees what an element-wise
+    closure sees. The first generator has H = {e}, so its powers are walked
+    one element at a time. Every marked element is a product of marked
+    elements, hence of the generators, on any magma with an identity, which
+    is what keeps Light's test exact on tables that are not groups.
+    """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
@@ -148,27 +164,33 @@ def _greedy_generators(table: np.ndarray, identity: int) -> list[int]:
     while not reached.all():
         g = int(np.argmin(reached))
         gens.append(g)
-        frontier = list(np.nonzero(reached)[0])
-        reached[g] = True
-        frontier.append(g)
-        while frontier:
-            x = frontier.pop()
-            for h in gens:
-                y = int(table[x, h])
-                if not reached[y]:
-                    reached[y] = True
-                    frontier.append(y)
-    return gens
+        if len(gens) == 1:
+            x = g
+            while not reached[x]:
+                reached[x] = True
+                x = int(table[x, g])
+            continue
+        h = np.flatnonzero(reached)
+        reached[table[h, g]] = True
+        reps = [g]
+        while reps:
+            r = reps.pop()
+            for s in gens:
+                t = int(table[r, s])
+                if not reached[t]:
+                    reached[table[h, t]] = True
+                    reps.append(t)
+    return tuple(gens)
 
 
-def _validate_light_associativity(arr: np.ndarray, identity: int) -> None:
+def _validate_light_associativity(arr: np.ndarray, gens: Sequence[int]) -> None:
     # Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     # 1961): the elements a with (xa)z = x(az) for all x, z contain the
     # identity and are closed under products, so once they contain a
     # generating set they are the whole table. This is exact, not sampled.
     # With the identity and inverses checked first, that makes the table a
     # group, so it needs no separate Latin-square test.
-    for g in _greedy_generators(arr, identity):
+    for g in gens:
         lhs = arr.take(arr[:, g], axis=0)
         rhs = arr.take(arr[g, :], axis=1)
         if not np.array_equal(lhs, rhs):
@@ -204,8 +226,9 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     """Build a validated group from a square table of element indices.
 
     Validation is exact at every order: a two-sided identity and inverses,
-    then Light's associativity test on a generating set. Raises NotAGroup
-    with the witnessing triple or element when any axiom fails.
+    then Light's associativity test on a generating set, which the group
+    keeps for later use. Raises NotAGroup with the witnessing triple or
+    element when any axiom fails.
     """
     arr = np.array(table, dtype=np.int32)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -237,13 +260,18 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     inverses = rinv.astype(np.int32)
     inverses.setflags(write=False)
 
-    _validate_light_associativity(arr, identity)
-    return FiniteGroup(name, arr, identity, inverses, _element_orders(arr, identity))
+    gens = _greedy_generators(arr, identity)
+    _validate_light_associativity(arr, gens)
+    G = FiniteGroup(name, arr, identity, inverses, _element_orders(arr, identity))
+    G._gens = gens
+    return G
 
 
 def renamed(G: FiniteGroup, name: str) -> FiniteGroup:
     """The same group under a different display name (no revalidation)."""
-    return FiniteGroup(name, G.table, G.identity, G.inverses, G.element_orders)
+    H = FiniteGroup(name, G.table, G.identity, G.inverses, G.element_orders)
+    H._gens = G._gens
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +341,13 @@ def conjugate_elements(G: FiniteGroup, elems: Sequence[int], g: int) -> np.ndarr
     return t[t[G.inverses[g], np.asarray(elems, dtype=np.int64)], g]
 
 
-@memoized
 def _generators(G: FiniteGroup) -> tuple[int, ...]:
-    """A small generating set. A finite set that conjugation by each of these
-    maps into itself is invariant under the whole group."""
-    return tuple(_greedy_generators(G.table, G.identity))
+    """A small generating set: the one ``from_table`` validated on. A finite
+    set that conjugation by each of these maps into itself is invariant
+    under the whole group."""
+    if G._gens is None:  # a FiniteGroup constructed directly, not by from_table
+        G._gens = _greedy_generators(G.table, G.identity)
+    return G._gens
 
 
 def _generator_commutators(G: FiniteGroup, xs: Sequence[int]) -> np.ndarray:

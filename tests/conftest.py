@@ -45,7 +45,7 @@ from groupcent.core import (
     _is_closed,
     conjugate_elements,
 )
-from groupcent.errors import InvariantViolation, PreconditionNotMet
+from groupcent.errors import AbelianGroupError, InvariantViolation, PreconditionNotMet
 
 
 @pytest.fixture(scope="session")
@@ -166,6 +166,18 @@ def centerless_pool():
     return _with_relabelled(groups, range(len(groups)))
 
 
+@pytest.fixture(scope="session")
+def oracle_pool(catalog_groups, semi_pool, family_pool, central_series_pool, centerless_pool):
+    """The catalog with a relabelled copy of each entry up to order 128, then
+    the four pools, which hold relabelled copies of their own."""
+    groups = list(catalog_groups.values())
+    groups += [
+        relabel_group(g, random.Random(g.order).sample(range(g.order), g.order))
+        for g in groups if g.order <= 128
+    ]
+    return groups + semi_pool + family_pool + central_series_pool + centerless_pool
+
+
 def by_check(suite_report, check_id):
     return [r for r in suite_report.results if r.check_id == check_id]
 
@@ -205,6 +217,82 @@ def relabel_group(g, perm):
         for j in range(g.order):
             table[perm[i], perm[j]] = perm[g.mul(i, j)]
     return from_table(table, name=f"{g.name}~")
+
+
+def bfs_greedy_generators(table, identity):
+    """Oracle for from_table's generating set: the element-at-a-time closure
+    that re-walks every reached element with every generator."""
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    gens: list[int] = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        gens.append(g)
+        frontier = list(np.nonzero(reached)[0])
+        reached[g] = True
+        frontier.append(g)
+        while frontier:
+            x = frontier.pop()
+            for h in gens:
+                y = int(table[x, h])
+                if not reached[y]:
+                    reached[y] = True
+                    frontier.append(y)
+    return gens
+
+
+def right_closure(G, gens):
+    """Elements reached from the identity by right multiplication by gens."""
+    seen, stack = {G.identity}, [G.identity]
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = G.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def loop_tabulate_permutations(perms):
+    """Oracle for the permutation tabulation: compose each pair and look the
+    result up in a dict."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
+
+
+def unique_rows_centralizers(G):
+    """Oracle for analytics._centralizers: the distinct rows of K by
+    np.unique(axis=0) over the packed rows, unmemoized."""
+    if is_abelian(G):
+        raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
+    k = _commuting_matrix(G)
+    _, first, inverse = np.unique(
+        np.packbits(k, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    elems = [np.flatnonzero(k[x]).tolist() for x in first]
+    # G is the one row of size |G|, so it sorts last
+    canon = sorted(range(first.size), key=lambda i: (len(elems[i]), elems[i]))
+    index = np.argsort(canon)[inverse.reshape(-1)]
+    rows = k[first[canon]]
+    # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that is Z(x).
+    z_rows = np.array([k[r].all(axis=0) for r in rows])
+
+    n = rows.shape[0]
+    if n < 4:
+        raise InvariantViolation(f"{G.name} reports n={n}; no group has 2 or 3 centralizers")
+    zg = z_rows[-1]
+    sizes = rows[:-1].sum(axis=1)
+    if not (((zg.sum() < sizes) & (sizes < G.order)).all() and rows[:-1][:, zg].all()):
+        raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
+    if not z_rows.any(axis=0).all():
+        raise InvariantViolation("the Z(x) together with the center do not cover the group")
+
+    abelian = (z_rows == rows).all(axis=1)
+    return analytics._Centralizers(
+        index, rows, z_rows, analytics._containment(rows), analytics._containment(z_rows), abelian
+    )
 
 
 def loop_centralizers(G):

@@ -67,6 +67,7 @@ from conftest import (
     quotient_semi_extraspecial,
     relabel_group,
     special_linear2,
+    unique_rows_centralizers,
 )
 
 
@@ -211,6 +212,16 @@ class TestCentralPartition:
         ):
             rep = central_partition(g)
             assert is_F_group(g) == (rep.is_partition and rep.is_normal)
+
+
+class TestCentralizerRows:
+    def test_match_unique_rows_oracle(self, oracle_pool):
+        for g in oracle_pool:
+            if is_abelian(g):
+                continue
+            got, want = analytics._centralizers(g), unique_rows_centralizers(g)
+            for field, a, b in zip(want._fields, got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (g.name, field)
 
 
 class TestCosetLabels:
@@ -405,6 +416,17 @@ class TestPerfectQuotient:
         rep = perfect_quotient_check(g)
         assert rep.cent_count == rep.derived_cent_count == 22
         assert rep.derived_order == 60
+
+    def test_report_is_memoized(self, monkeypatch):
+        groups = [alternating(5), direct_product(cyclic(6), alternating(5))]
+        first = [perfect_quotient_check(g) for g in groups]
+
+        def fail(G, H):
+            raise AssertionError("derived subgroup rebuilt")
+
+        monkeypatch.setattr(analytics, "subgroup_as_group", fail)
+        assert [perfect_quotient_check(g) for g in groups] == first
+        assert [run_check("cg118", g).status for g in groups] == ["pass", "pass"]
 
     def test_a5_trivial_case(self):
         rep = perfect_quotient_check(alternating(5))

@@ -1,5 +1,6 @@
 """Family builders: orders, centers, defining properties."""
 
+import numpy as np
 import pytest
 
 from groupcent import (
@@ -26,6 +27,7 @@ from groupcent import (
     smallest_frobenius_unit,
     symmetric,
 )
+from groupcent import constructions
 from groupcent.errors import (
     BadOrder,
     BadParameter,
@@ -35,7 +37,7 @@ from groupcent.errors import (
     TooLarge,
 )
 
-from conftest import brute_force_bad_triple, loop_element_orders
+from conftest import brute_force_bad_triple, loop_element_orders, loop_tabulate_permutations
 
 
 class TestNamedFamilies:
@@ -258,6 +260,30 @@ class TestFromPermutations:
     def test_non_bijection_rejected(self):
         with pytest.raises(NotAPermutation):
             from_permutations(3, [(0, 0, 2)])
+
+    def test_tables_match_loop_oracle(self, monkeypatch):
+        tabulated = []
+        inner = constructions._tabulate_permutations
+
+        def recording(perms, name):
+            g = inner(perms, name)
+            tabulated.append((perms, g))
+            return g
+
+        monkeypatch.setattr(constructions, "_tabulate_permutations", recording)
+        for n in range(1, 6):
+            symmetric(n)
+            alternating(n)
+        # the Frobenius group of order 21 acting on 7 points
+        from_permutations(7, [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)])
+        # points above 255 take two bytes, so byte order decides the ranks
+        cycle = list(range(260))
+        cycle[0], cycle[256], cycle[1], cycle[259] = 256, 1, 259, 0
+        from_permutations(260, [cycle])
+        assert [g.order for _, g in tabulated] == [1, 1, 2, 1, 6, 3, 24, 12, 120, 60, 21, 4]
+        for perms, g in tabulated:
+            assert perms == sorted(perms)
+            assert np.array_equal(g.table, loop_tabulate_permutations(perms)), g.name
 
     def test_closure_cap(self):
         import groupcent.constructions as cons

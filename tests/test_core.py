@@ -51,8 +51,10 @@ from groupcent.errors import (
 )
 
 from conftest import (
+    bfs_greedy_generators,
     brute_force_bad_triple,
     loop_element_orders,
+    right_closure,
     table_derived_subgroup,
     table_is_nilpotent,
 )
@@ -150,6 +152,35 @@ class TestFromTable:
         g = cyclic(4)
         with pytest.raises(ValueError):
             g.table[0, 0] = 1
+
+
+class TestGeneratingSet:
+    def test_matches_element_closure_oracle(self, oracle_pool):
+        for g in oracle_pool:
+            gens = core._generators(g)
+            assert gens == tuple(bfs_greedy_generators(g.table, g.identity)), g.name
+            assert right_closure(g, gens) == set(g.elements()), g.name
+
+    def test_found_once_by_from_table(self, monkeypatch):
+        table = symmetric(4).table
+        calls = []
+        inner = core._greedy_generators
+
+        def counting(table, identity):
+            calls.append(identity)
+            return inner(table, identity)
+
+        monkeypatch.setattr(core, "_greedy_generators", counting)
+        g = from_table(table, name="S4 copy")
+        assert len(calls) == 1
+
+        def fail(table, identity):
+            raise AssertionError("generating set searched again")
+
+        monkeypatch.setattr(core, "_greedy_generators", fail)
+        h = core.renamed(g, "S4 renamed")
+        assert build_analysis(g)["cent_count"] == build_analysis(h)["cent_count"] == 14
+        assert core._generators(h) == core._generators(g) == tuple(inner(g.table, g.identity))
 
 
 class TestCenterAndCentralizer:
