@@ -16,13 +16,13 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import specs
 from .analytics import (
+    BoundReport,
     bounds,
     central_partition,
     cent_count,
@@ -170,7 +170,8 @@ def _pairs(G: FiniteGroup, s: CheckSettings, xs: Sequence[int]) -> np.ndarray:
     to the exhaustive cap, seeded samples above it."""
     n = G.order
     if n <= s.exhaustive_cap:
-        return np.array(list(product(xs, range(n))), dtype=np.int64).reshape(-1, 2)
+        xs = np.asarray(xs, dtype=np.int64)
+        return np.stack([np.repeat(xs, n), np.tile(np.arange(n, dtype=np.int64), xs.size)], axis=1)
     rng = random.Random(s.seed)
     pairs = [(rng.choice(xs), rng.randrange(n)) for _ in range(s.sample_pairs)]
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
@@ -187,6 +188,12 @@ def _pair_verdict(G, s, pairs: np.ndarray, ok: np.ndarray, names: tuple[str, str
 
 def _quotient_order(G: FiniteGroup) -> int:
     return G.order // _center_elements(G).size
+
+
+@memoized
+def _bound_report(G: FiniteGroup) -> BoundReport:
+    """The bound report of G, read by the 1sb and bc1b checks and by analyze."""
+    return bounds(cent_count(G), _quotient_order(G))
 
 
 def _quotient_is_elementary(G: FiniteGroup, p: int, k: int) -> bool:
@@ -283,8 +290,10 @@ def _check_zclass1(G, s):
     pairs = _pairs(G, s, np.flatnonzero(~cz.z_rows[-1]).tolist())
     x, g = pairs[:, 0], pairs[:, 1]
     t, inv = G.table, G.inverses
-    # pull[i, b] = g b g^-1 for the pair's g: b lies in g^-1 Z(x) g iff pull[i, b] lies in Z(x)
-    pull = t[t[g], inv[g][:, None]]
+    # pull[i, b] = g b g^-1 for the pair's g: b lies in g^-1 Z(x) g iff pull[i, b] lies in Z(x).
+    # It depends on g alone, so each distinct g is conjugated once.
+    ug, gi = np.unique(g, return_inverse=True)
+    pull = t[t[ug], inv[ug][:, None]].take(gi, axis=0)
     conj_x = t[t[inv[g], x], g]
     ok = (cz.z_rows[cz.index[x][:, None], pull] == cz.z_rows[cz.index[conj_x]]).all(axis=1)
     return _pair_verdict(G, s, pairs, ok, ("x", "g"))
@@ -359,19 +368,12 @@ def _check_bc1a(G, s):
 def _check_bc1b(G, s):
     if is_F_group(G):
         return SKIP, {"reason": "F-group; covered by bc1a"}
-    n, qz = cent_count(G), _quotient_order(G)
-    rep = bounds(n, qz)
-    details = {"n": n, "quotient_order": qz, "bound_general": rep.bound_general}
-    verdict = rep.satisfied["bound_general"]
-    if verdict is None:
-        return INDETERMINATE, details
-    return (PASS, details) if verdict else (FAIL, details)
+    return _check_1sb(G, s)
 
 
 def _check_1sb(G, s):
-    n, qz = cent_count(G), _quotient_order(G)
-    rep = bounds(n, qz)
-    details = {"n": n, "quotient_order": qz, "bound_general": rep.bound_general}
+    rep = _bound_report(G)
+    details = {"n": rep.n, "quotient_order": rep.q_order, "bound_general": rep.bound_general}
     verdict = rep.satisfied["bound_general"]
     if verdict is None:
         return INDETERMINATE, details

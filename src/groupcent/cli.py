@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import checks
 from .analytics import (
-    bounds,
     central_partition,
     cent_count,
     conjugate_type,
@@ -113,7 +112,7 @@ def build_analysis(G: FiniteGroup, settings: CheckSettings | None = None) -> dic
             "component_sizes": sorted(len(c) for c in part.components),
             "witness": dict(part.witness) if part.witness else None,
         }
-        rep = bounds(cent_count(G), G.order // body["center_order"])
+        rep = checks._bound_report(G)
         body["bounds"] = {
             "n": rep.n,
             "quotient_order": rep.q_order,

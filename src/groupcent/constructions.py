@@ -293,14 +293,12 @@ def heisenberg(field: FiniteField) -> FiniteGroup:
             f"field order {q} not supported; need q^3 <= 1024 (q in {HEISENBERG_FIELD_ORDERS})"
         )
     add, mul = field.add_table, field.mul_table
-    n = q**3
-    idx = np.arange(n)
-    a1, b1, c1 = (idx // q**2)[:, None], ((idx // q) % q)[:, None], (idx % q)[:, None]
-    a2, b2, c2 = (idx // q**2)[None, :], ((idx // q) % q)[None, :], (idx % q)[None, :]
-    a3 = add[a1, a2]
-    b3 = add[b1, b2]
-    c3 = add[add[c1, c2], mul[a1, b2]]
-    table = (a3.astype(np.int64) * q + b3) * q + c3
+    # one axis per digit of the two factors: (a, b, c, a', b', c')
+    a3 = add[:, None, None, :, None, None]
+    b3 = add[None, :, None, None, :, None]
+    # c + c' + a*b' over the axes (a, c, b', c')
+    c3 = add[add[None, :, None, :], mul[:, None, :, None]][:, None, :, None, :, :]
+    table = ((a3 * q + b3) * q + c3).reshape(q**3, q**3)
     return from_table(table, name=f"Heis({q})")
 
 

@@ -360,6 +360,57 @@ def loop_pair_checks(G, settings):
     return out
 
 
+def formula_pair_checks(G, settings, cz):
+    """Oracle for the np1, co1 and zclass1 checks over the centralizer arrays
+    cz, real or planted: their array formulas as they read before the numpy
+    pair build, on the pairs of loop_pairs, with g b g^-1 gathered once per
+    pair. The verdict names the first failing pair."""
+    t, inv, index = G.table, G.inverses, cz.index
+
+    def np1(x, y):
+        return cz.contains[index[x], index[y]] == cz.z_contains[index[y], index[x]]
+
+    def co1(x, y):
+        return cz.z_rows[index[x], y] == cz.z_contains[index[y], index[x]]
+
+    def zclass1(x, g):
+        pull = t[t[g], inv[g][:, None]]
+        conj_x = t[t[inv[g], x], g]
+        return (cz.z_rows[index[x][:, None], pull] == cz.z_rows[index[conj_x]]).all(axis=1)
+
+    everything = list(G.elements())
+    noncentral = np.flatnonzero(~cz.z_rows[-1]).tolist()
+    tests = {
+        "np1": (everything, np1, ("x", "y")),
+        "co1": (everything, co1, ("x", "y")),
+        "zclass1": (noncentral, zclass1, ("x", "g")),
+    }
+    out = {}
+    for cid, (xs, holds, names) in tests.items():
+        mode, listed = loop_pairs(G, settings, xs)
+        pairs = np.array(listed, dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero(~holds(pairs[:, 0], pairs[:, 1]))
+        if bad.size:
+            out[cid] = ("fail", dict(zip(names, pairs[bad[0]].tolist())))
+        else:
+            out[cid] = ("pass", {"mode": mode, "pairs": len(pairs)})
+    return out
+
+
+def formula_heisenberg_table(field):
+    """Oracle for constructions.heisenberg: the table as it read before the
+    digit-axis broadcast, by n x n gathers over the element digits in int64."""
+    add, mul = field.add_table, field.mul_table
+    q = field.order
+    idx = np.arange(q**3)
+    a1, b1, c1 = (idx // q**2)[:, None], ((idx // q) % q)[:, None], (idx % q)[:, None]
+    a2, b2, c2 = (idx // q**2)[None, :], ((idx // q) % q)[None, :], (idx % q)[None, :]
+    a3 = add[a1, a2]
+    b3 = add[b1, b2]
+    c3 = add[add[c1, c2], mul[a1, b2]]
+    return (a3.astype(np.int64) * q + b3) * q + c3
+
+
 def assert_centralizers_match_loops(G, settings_list):
     """The commuting-matrix results for G equal the loop oracles: sizes,
     distinct centralizers and their order, Z(x), the F and CA predicates,

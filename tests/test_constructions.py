@@ -22,6 +22,7 @@ from groupcent import (
     heisenberg,
     is_abelian,
     isomorphic,
+    prime_power,
     quaternion8,
     semidirect,
     smallest_frobenius_unit,
@@ -37,7 +38,12 @@ from groupcent.errors import (
     TooLarge,
 )
 
-from conftest import brute_force_bad_triple, loop_element_orders, loop_tabulate_permutations
+from conftest import (
+    brute_force_bad_triple,
+    formula_heisenberg_table,
+    loop_element_orders,
+    loop_tabulate_permutations,
+)
 
 
 class TestNamedFamilies:
@@ -243,6 +249,11 @@ class TestHeisenberg:
     def test_unsupported_field_order(self):
         with pytest.raises(BadParameter):
             heisenberg(gf(11))
+
+    @pytest.mark.parametrize("q", constructions.HEISENBERG_FIELD_ORDERS)
+    def test_table_matches_digit_formula(self, q):
+        field = gf(*prime_power(q))
+        assert np.array_equal(heisenberg(field).table, formula_heisenberg_table(field))
 
 
 class TestFromPermutations:

@@ -1,6 +1,7 @@
 """Check registry, suite mechanics, catalog, and search."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -34,16 +35,19 @@ from groupcent import (
     symmetric,
 )
 from groupcent.analytics import ConjugateTypeReport
+from groupcent.cli import build_analysis
 from groupcent.checks import _known_family, _pair_verdict, _quotient_is_elementary, check_ids
 from groupcent.errors import InvariantViolation, UnknownCheckId
 
 from conftest import (
     LOOP_CHECKS,
+    formula_pair_checks,
     iso_known_family,
     loop_check_npcor1,
     loop_commute_pairwise,
     loop_is_frobenius_prime_cyclic,
     loop_profile,
+    relabel_group,
 )
 
 # the full check index; a registry drift is a bug
@@ -95,6 +99,23 @@ class TestRunCheck:
         assert _pair_verdict(g, s, pairs, ok, ("x", "g")) == ("fail", {"x": 2, "g": 3})
         passed = _pair_verdict(g, s, pairs, ok | True, ("x", "y"))
         assert passed == ("pass", {"mode": "exhaustive", "pairs": 3})
+
+    def test_bound_report_is_computed_once_per_group(self, monkeypatch):
+        g = symmetric(4)
+        cold = {cid: run_check(cid, g) for cid in ("1sb", "bc1b")}
+        body = build_analysis(g)
+
+        def refuse(n, q_order):
+            raise RuntimeError("bounds recomputed")
+
+        monkeypatch.setattr(checks, "bounds", refuse)
+        want = {"n": 14, "quotient_order": 24, "bound_general": 4197.184791733326}
+        for cid, row in cold.items():
+            warm = run_check(cid, g)
+            assert warm == row and (warm.status, warm.details) == ("pass", want)
+        assert build_analysis(g) == body
+        with pytest.raises(RuntimeError, match="bounds recomputed"):
+            run_check("1sb", symmetric(4))
 
     def test_every_skip_has_reason(self, catalog_groups):
         for g in catalog_groups.values():
@@ -170,6 +191,27 @@ class TestCentralizerRows:
         got = run_check("npcor1", g)
         assert (got.status, dict(got.details)) == loop_check_npcor1(g, CheckSettings())
         assert got.details == {"prime_centralizer": 15, "containing_centralizer": 20}
+
+    @pytest.mark.parametrize(
+        "field,i,j", [("contains", 2, 7), ("z_contains", 5, 3), ("z_rows", 3, 5)]
+    )
+    def test_planted_bit_matches_formula_witnesses(self, monkeypatch, field, i, j):
+        # no group fails np1, co1 or zclass1, so flip one bit of a relabelled
+        # S4's rows; the first failing pair, in pair order, is the witness
+        g = relabel_group(symmetric(4), random.Random(4).sample(range(24), 24))
+        real = analytics._centralizers(g)
+        planted = getattr(real, field).copy()
+        planted[i, j] ^= True
+        fake = real._replace(**{field: planted})
+        monkeypatch.setattr(checks, "_centralizers", lambda G: fake)
+        readers = {"contains": {"np1"}, "z_contains": {"np1", "co1"}, "z_rows": {"co1", "zclass1"}}
+        for s in (CheckSettings(), CheckSettings(exhaustive_cap=0)):
+            want = formula_pair_checks(g, s, fake)
+            for cid, expected in want.items():
+                got = run_check(cid, g, s)
+                assert (got.status, dict(got.details)) == expected, (cid, s)
+            if s.exhaustive_cap:
+                assert {cid for cid, (status, _) in want.items() if status == "fail"} == readers[field]
 
     def test_planted_abelian_rows(self, monkeypatch):
         # no group is a counterexample to za1 or bbu, so plant abelian flags:
