@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import (
     FiniteGroup,
-    _subgroup,
+    Subgroup,
     center,
     direct_product,
     from_table,
@@ -266,7 +266,7 @@ def central_product(
     P = direct_product(A, B)
     nb = B.order
     anti = [z * nb + B.inv(iso[z]) for z in za.elements]
-    result = quotient(P, _subgroup(P, anti))
+    result = quotient(P, Subgroup(P, tuple(sorted(anti))))
     return renamed(result.quotient, f"{A.name}o{B.name}")
 
 

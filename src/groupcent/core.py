@@ -9,6 +9,7 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Sequence
@@ -139,30 +140,24 @@ class QuotientResult:
     normal_subgroup: Subgroup
 
 
-def _subgroup(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    return Subgroup(G, tuple(sorted({int(m) for m in members})))
-
-
-def _greedy_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
-    """Small generating set found by repeatedly adjoining the first element
-    outside the closure of what we already have.
+def _adjoin(table: np.ndarray, reached: np.ndarray, gens: list[int], new: Iterable[int]) -> list[int]:
+    """Append each element of ``new`` that ``reached`` lacks to ``gens``, and
+    grow ``reached``, the closure of ``gens`` (just the identity when ``gens``
+    is empty), in place to the closure of the longer list. Returns ``gens``.
 
     The closure grows a right coset at a time. When g is adjoined to the
     reached set H, it marks Hg; then for each new representative r and each
     generator s with t = rs unreached, it marks the coset Ht in one gather
     and takes t as a new representative. In a group these cosets fill the
-    subgroup generated so far, so the pick rule sees what an element-wise
-    closure sees. The first generator has H = {e}, so its powers are walked
-    one element at a time. Every marked element is a product of marked
+    subgroup generated so far, so the result is what an element-wise closure
+    reaches. The first generator has H = {e}, so its powers are walked one
+    element at a time. Every marked element is a product of marked
     elements, hence of the generators, on any magma with an identity, which
     is what keeps Light's test exact on tables that are not groups.
     """
-    n = table.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[identity] = True
-    gens: list[int] = []
-    while not reached.all():
-        g = int(np.argmin(reached))
+    for g in map(int, new):
+        if reached[g]:
+            continue
         gens.append(g)
         if len(gens) == 1:
             x = g
@@ -180,7 +175,14 @@ def _greedy_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
                 if not reached[t]:
                     reached[table[h, t]] = True
                     reps.append(t)
-    return tuple(gens)
+    return gens
+
+
+def _greedy_generators(table: np.ndarray, identity: int) -> tuple[int, ...]:
+    """Small generating set: each element, in index order, that the closure of
+    the earlier picks lacks."""
+    n = table.shape[0]
+    return tuple(_adjoin(table, np.arange(n) == identity, [], range(n)))
 
 
 def _validate_light_associativity(arr: np.ndarray, gens: Sequence[int]) -> None:
@@ -230,14 +232,16 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     keeps for later use. Raises NotAGroup with the witnessing triple or
     element when any axiom fails.
     """
-    arr = np.array(table, dtype=np.int32)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotAGroup(f"table must be square, got shape {arr.shape}")
-    n = arr.shape[0]
+    src = np.asarray(table)
+    if src.ndim != 2 or src.shape[0] != src.shape[1]:
+        raise NotAGroup(f"table must be square, got shape {src.shape}")
+    n = src.shape[0]
     if n == 0:
         raise NotAGroup("table is empty")
-    if arr.min() < 0 or arr.max() >= n:
-        raise NotAGroup(f"table entries must lie in [0, {n})")
+    # checked on the source: the int32 cast truncates floats and wraps wide ints
+    if not np.issubdtype(src.dtype, np.integer) or src.min() < 0 or src.max() >= n:
+        raise NotAGroup(f"table entries must be integers in [0, {n})")
+    arr = np.array(src, dtype=np.int32)
     arr.setflags(write=False)
 
     expect = np.arange(n, dtype=arr.dtype)
@@ -304,20 +308,20 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     """Elements commuting with x; always contains <x> and the center."""
     if not 0 <= x < G.order:
         raise BadParameter(f"element index {x} out of range")
-    return _subgroup(G, np.nonzero(_commuting_matrix(G)[x])[0])
+    return Subgroup(G, tuple(np.flatnonzero(_commuting_matrix(G)[x]).tolist()))
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest closed subset containing the generators and the identity."""
-    gen_list = [int(g) for g in gens]
+    try:
+        gen_list = [operator.index(g) for g in gens]
+    except TypeError:
+        raise BadParameter("generator indices must be integers") from None
     if any(g < 0 or g >= G.order for g in gen_list):
         raise BadParameter("generator index out of range")
-    elems = np.unique(np.array(gen_list + [G.identity], dtype=np.int64))
-    while True:
-        products = np.unique(G.table[np.ix_(elems, elems)])
-        if products.size == elems.size:
-            return _subgroup(G, elems)
-        elems = np.unique(np.append(elems, products))
+    reached = np.arange(G.order) == G.identity
+    _adjoin(G.table, reached, [], gen_list)
+    return Subgroup(G, tuple(np.flatnonzero(reached).tolist()))
 
 
 def _is_closed(G: FiniteGroup, elems: np.ndarray) -> bool:
@@ -363,17 +367,17 @@ def _generator_commutators(G: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
 def _derived_elements(G: FiniteGroup) -> np.ndarray:
     """G' as a sorted read-only index array. It is the normal closure N of
     the generators' commutators: G/N is generated by images that commute,
-    so it is abelian and G' <= N; N <= G' as G' is normal."""
-    gens = _generators(G)
-    h = generated_subgroup(G, _generator_commutators(G, gens).ravel())
-    while True:
-        elems = np.asarray(h.elements, dtype=np.int64)
-        images = [conjugate_elements(G, elems, g) for g in gens]
-        grown = np.unique(np.concatenate([elems, *images]))
-        if grown.size == elems.size:
-            elems.setflags(write=False)
-            return elems
-        h = generated_subgroup(G, grown)
+    so it is abelian and G' <= N; N <= G' as G' is normal. Each generator
+    of N is conjugated once by each generator of G, and an image outside N
+    is adjoined as one more generator; so G's generators map N into N."""
+    t, s = G.table, np.asarray(_generators(G), dtype=np.int64)
+    reached = np.arange(G.order) == G.identity
+    n_gens = _adjoin(t, reached, [], _generator_commutators(G, s).ravel())
+    for x in n_gens:  # grows as images are adjoined
+        _adjoin(t, reached, n_gens, t[t[G.inverses[s], x], s])
+    elems = np.flatnonzero(reached)
+    elems.setflags(write=False)
+    return elems
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:

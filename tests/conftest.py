@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from groupcent import (
     extraspecial2,
     frobenius_cq_cn,
     from_table,
-    generated_subgroup,
     gf,
     heisenberg,
     is_abelian,
@@ -39,13 +39,14 @@ from groupcent import (
 from groupcent import analytics
 from groupcent.checks import FAIL, PASS, SKIP, _quotient_order
 from groupcent.core import (
+    FiniteGroup,
     Subgroup,
     _commuting_matrix,
     _generators,
     _is_closed,
     conjugate_elements,
 )
-from groupcent.errors import AbelianGroupError, InvariantViolation, PreconditionNotMet
+from groupcent.errors import AbelianGroupError, BadParameter, InvariantViolation, PreconditionNotMet
 
 
 @pytest.fixture(scope="session")
@@ -530,7 +531,7 @@ def loop_index_p_subgroups(G, H, p):
         grew = False
         for base in list(subs):
             for z in H.elements:
-                cand = generated_subgroup(G, set(base) | {z}).elements
+                cand = table_generated_subgroup(G, set(base) | {z}).elements
                 if len(cand) <= H.order and cand not in subs:
                     if set(cand) <= H.element_set:
                         subs[cand] = None
@@ -572,12 +573,30 @@ def iso_known_family(G):
     return None
 
 
+def _subgroup(G, members):
+    return Subgroup(G, tuple(sorted({int(m) for m in members})))
+
+
+def table_generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """Oracle for generated_subgroup, as it read before the coset-at-a-time
+    closure: multiply the whole set by itself until it stops growing."""
+    gen_list = [int(g) for g in gens]
+    if any(g < 0 or g >= G.order for g in gen_list):
+        raise BadParameter("generator index out of range")
+    elems = np.unique(np.array(gen_list + [G.identity], dtype=np.int64))
+    while True:
+        products = np.unique(G.table[np.ix_(elems, elems)])
+        if products.size == elems.size:
+            return _subgroup(G, elems)
+        elems = np.unique(np.append(elems, products))
+
+
 def table_derived_subgroup(G):
     """Oracle for derived_subgroup, as it read with the n x n commutator
     table K[a, b] = a b a^-1 b^-1: the closure of every commutator."""
     t = G.table
     k = t[t, np.asarray(G.inverses)[t.T]]
-    return generated_subgroup(G, np.unique(k))
+    return table_generated_subgroup(G, np.unique(k))
 
 
 def table_is_nilpotent(G):

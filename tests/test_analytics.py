@@ -93,9 +93,13 @@ class TestProfile:
     def test_known_counts(self, builder, n):
         assert cent_count(builder()) == n
 
-    @pytest.mark.parametrize("half", [3, 5, 7, 9, 11, 13, 15])
+    @pytest.mark.parametrize("half", [3, 5, 7, 9, 11, 13, 15, 6, 512, 515, 1023, 1024])
     def test_odd_dihedrals(self, half):
-        assert cent_count(dihedral(2 * half)) == half + 2
+        # D_2m: the rotations, G, and for odd m one C(s) = {1, s} per
+        # reflection s; for even m, z = r^(m/2) is central and the reflections
+        # s and sz share C(s) = {1, z, s, sz}.
+        want = half + 2 if half % 2 else half // 2 + 2
+        assert cent_count(dihedral(2 * half)) == want
 
     def test_against_brute_oracle(self):
         sampled = CheckSettings(exhaustive_cap=0, sample_pairs=60, seed=11)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import random
 import sys
 import threading
 import weakref
@@ -56,6 +57,7 @@ from conftest import (
     loop_element_orders,
     right_closure,
     table_derived_subgroup,
+    table_generated_subgroup,
     table_is_nilpotent,
 )
 
@@ -131,6 +133,20 @@ class TestFromTable:
     def test_non_square_rejected(self):
         with pytest.raises(NotAGroup, match="square"):
             from_table([[0, 1, 2], [1, 2, 0]])
+
+    @pytest.mark.parametrize(
+        "table,match",
+        [
+            ([[0.9, 1.2], [1.0, 0.4]], "integers"),
+            (np.array([[0, 1], [1, 2**32]], dtype=np.int64), "entries"),
+            (np.array([[0, 1], [1, -(2**32)]], dtype=np.int64), "entries"),
+        ],
+        ids=["floats", "wraps_high", "wraps_low"],
+    )
+    def test_entries_checked_before_the_int32_cast(self, table, match):
+        # each of these casts to the C2 table [[0, 1], [1, 0]]
+        with pytest.raises(NotAGroup, match=match):
+            from_table(table)
 
     def test_light_validation_matches_full(self):
         g = cyclic(30)
@@ -246,6 +262,18 @@ class TestGeneratedAndDerived:
         t = next(x for x in g.elements() if g.element_orders[x] == 2)
         c = next(x for x in g.elements() if g.element_orders[x] == 3)
         assert generated_subgroup(g, [t, c]).order == 6
+
+    def test_non_integer_generator_rejected(self):
+        with pytest.raises(BadParameter, match="integers"):
+            generated_subgroup(symmetric(3), [1.7])
+
+    def test_matches_product_table_oracle(self, oracle_pool):
+        for g in oracle_pool:
+            rng = random.Random(g.order)
+            for k in (1, 1, 2, 3):
+                gens = rng.sample(range(g.order), k)
+                want = table_generated_subgroup(g, gens).elements
+                assert generated_subgroup(g, gens).elements == want, (g.name, gens)
 
     def test_derived_of_abelian_trivial(self):
         g = cyclic(12)
@@ -386,8 +414,8 @@ class TestRecognizers:
 
 
 class TestCommutatorsFromGenerators:
-    def test_match_table_routes(self, catalog_groups, semi_pool, family_pool, central_series_pool):
-        for g in [*catalog_groups.values(), *semi_pool, *family_pool, *central_series_pool]:
+    def test_match_table_routes(self, oracle_pool):
+        for g in oracle_pool:
             assert derived_subgroup(g).elements == table_derived_subgroup(g).elements, g.name
             assert is_nilpotent(g) == table_is_nilpotent(g), g.name
 
