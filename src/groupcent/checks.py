@@ -624,7 +624,18 @@ def check_ids() -> tuple[str, ...]:
 
 
 def run_check(check_id: str, G: FiniteGroup, settings: CheckSettings | None = None) -> CheckResult:
-    """Run one named check against one group."""
+    """Run one named check against one group.
+
+    The result is memoized in G's own memo, keyed by the check function
+    ``REGISTRY[check_id][0]`` (so a check patched into the registry runs
+    afresh) within a sampling key. Only the pair checks read the settings,
+    and at order <= ``exhaustive_cap`` they read nothing but that bound, so
+    the sampling key is None there and the whole settings object above it.
+    G holds the results of one sampling key: a new key replaces them, so a
+    loop over seeds keeps at most one result per check. Exceptions are not
+    cached. A memoized result is shared by every caller, so its ``details``
+    must not be mutated; ``as_dict()`` returns a copy of the top level.
+    """
     if check_id not in REGISTRY:
         raise UnknownCheckId(f"no check registered under {check_id!r}")
     settings = settings or CheckSettings()
@@ -633,8 +644,17 @@ def run_check(check_id: str, G: FiniteGroup, settings: CheckSettings | None = No
             check_id, G.name, SKIP, {"reason": "abelian group; centralizer structure is trivial"}
         )
     fn = REGISTRY[check_id][0]
+    sampling = None if G.order <= settings.exhaustive_cap else settings
+    # This thread files its result in the pair it read or made, so a
+    # replacement by another thread cannot put it under the wrong key.
+    held = G._memo.get(run_check)
+    if held is None or held[0] != sampling:
+        held = G._memo[run_check] = (sampling, {})
+    results = held[1]
+    if fn in results:
+        return results[fn]
     status, details = fn(G, settings)
-    return CheckResult(check_id, G.name, status, details)
+    return results.setdefault(fn, CheckResult(check_id, G.name, status, details))
 
 
 def _expected_result(entry: CatalogEntry, G: FiniteGroup) -> CheckResult:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 from . import checks
@@ -266,7 +267,10 @@ def cmd_export(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: its choices,
+    defaults and handlers are all fixed at import."""
     parser = argparse.ArgumentParser(
         prog="groupcent",
         description="Centralizer structure of finite groups, with a built-in check suite.",

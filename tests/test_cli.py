@@ -9,16 +9,19 @@ from pathlib import Path
 import pytest
 
 from groupcent import (
+    CheckSettings,
     build_group,
     cent_count,
     checks,
     load_cayley,
     load_permutations,
     parse_spec,
+    renamed,
+    run_suite,
     save_cayley,
     symmetric,
 )
-from groupcent.cli import _EXACT_FACTORIAL_MAX_N, main
+from groupcent.cli import _EXACT_FACTORIAL_MAX_N, build_analysis, main
 from groupcent.errors import (
     FormatError,
     InvariantViolation,
@@ -227,6 +230,38 @@ class TestVerifyCommand:
         cat.write_text("{not json", encoding="utf-8")
         assert main(["verify", "--catalog", str(cat)]) == 3
         capsys.readouterr()
+
+
+class TestWarmEqualsCold:
+    """Reports made after the catalog groups hold check results from another
+    seed equal the reports of a fresh process."""
+
+    @staticmethod
+    def cold(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupcent.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=Path(__file__).resolve().parents[1],
+            check=True,
+        )
+        return proc.stdout
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verify_at_a_second_seed(self, capsys, jobs):
+        run_suite(jobs=jobs, settings=CheckSettings(seed=11))
+        argv = ["verify", "--format", "json", "--jobs", str(jobs), "--seed", "12"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == self.cold(argv)
+
+    def test_analyze_after_verify(self):
+        run_suite(settings=CheckSettings(seed=11))
+        for settings in (CheckSettings(), CheckSettings(seed=12)):
+            for entry in checks.default_catalog():
+                fresh = renamed(build_group(entry.builder_spec), entry.name)
+                warm = build_analysis(entry.build(), settings)
+                assert warm == build_analysis(fresh, settings), (entry.name, settings)
 
 
 class TestSearchCommand:

@@ -2,6 +2,10 @@
 
 import json
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -146,6 +150,117 @@ class TestRunCheck:
         assert r9.details["abelian_proper_centralizers"] == 10
 
 
+class TestCheckMemo:
+    """run_check keeps its results in the group's own memo, under one
+    sampling key at a time."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """check id -> number of times its function ran, through a counting
+        wrapper put into the registry in place of every check."""
+        counts = Counter()
+        for cid, (fn, doc) in list(checks.REGISTRY.items()):
+            def counting(G, s, fn=fn, cid=cid):
+                counts[cid] += 1
+                return fn(G, s)
+
+            monkeypatch.setitem(checks.REGISTRY, cid, (counting, doc))
+        return counts
+
+    @staticmethod
+    def run_all(g, settings):
+        return [run_check(cid, g, settings) for cid in check_ids()]
+
+    def test_small_group_runs_each_check_once_across_seeds(self, calls):
+        g = symmetric(4)
+        rows = [self.run_all(g, CheckSettings(seed=seed)) for seed in (1, 2, 3)]
+        assert calls == Counter(dict.fromkeys(check_ids(), 1))
+        assert rows[0] == rows[1] == rows[2]
+        assert all(a is b for a, b in zip(rows[0], rows[2]))
+
+    def test_sampled_group_reruns_for_each_new_seed(self, calls):
+        g = heisenberg(gf(3, 2))
+        assert g.order > CheckSettings().exhaustive_cap
+        for seed in (1, 1, 2, 2, 1):
+            self.run_all(g, CheckSettings(seed=seed))
+        assert calls == Counter(dict.fromkeys(check_ids(), 3))
+
+    def test_sampled_group_holds_one_seed(self, calls):
+        g = heisenberg(gf(3, 2))
+        for seed in range(50):
+            self.run_all(g, CheckSettings(seed=seed))
+        sampling, results = g._memo[run_check]
+        assert sampling == CheckSettings(seed=49)
+        assert len(results) <= len(checks.REGISTRY)
+        assert sum(calls.values()) == 50 * len(checks.REGISTRY)
+
+    def test_exhaustive_cap_is_part_of_the_key(self, calls):
+        g = symmetric(4)
+        default = self.run_all(g, CheckSettings())
+        sampled = self.run_all(g, CheckSettings(exhaustive_cap=0))
+        assert self.run_all(g, CheckSettings(exhaustive_cap=0)) == sampled
+        assert calls == Counter(dict.fromkeys(check_ids(), 2))
+        modes = [r.details.get("mode") for r in (default[0], sampled[0])]
+        assert modes == ["exhaustive", "sampled"]
+        self.run_all(g, CheckSettings(exhaustive_cap=0, seed=1))
+        self.run_all(g, CheckSettings(exhaustive_cap=0, sample_pairs=10, seed=1))
+        assert calls == Counter(dict.fromkeys(check_ids(), 4))
+
+    def test_exceptions_are_not_cached(self, monkeypatch):
+        failures = iter([InvariantViolation("first call fails")])
+
+        def flaky(G, s):
+            for exc in failures:
+                raise exc
+            return "pass", {"ran": True}
+
+        monkeypatch.setitem(checks.REGISTRY, "bbc", (flaky, "patched"))
+        g = symmetric(4)
+        with pytest.raises(InvariantViolation):
+            run_check("bbc", g)
+        assert run_check("bbc", g).details == {"ran": True}
+
+    def test_threads_alternating_seeds_get_their_own_results(self, monkeypatch):
+        # each result names the seed it was computed under, so a result filed
+        # under another thread's key would show up as a wrong seed; the check
+        # yields the interpreter as a numpy kernel would
+        def echo(G, s):
+            time.sleep(0)
+            return "pass", {"seed": s.seed}
+
+        monkeypatch.setitem(checks.REGISTRY, "bbc", (echo, "patched"))
+        g = symmetric(4)
+        wrong = []
+
+        def worker(k):
+            for i in range(300):
+                seed = (i + k) % 3
+                got = run_check("bbc", g, CheckSettings(exhaustive_cap=0, seed=seed))
+                if got.details["seed"] != seed:
+                    wrong.append((seed, got.details["seed"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        sampling, results = g._memo[run_check]
+        assert sampling.exhaustive_cap == 0 and len(results) == 1
+
+    def test_shared_result_is_not_exposed_through_as_dict(self):
+        g = symmetric(4)
+        row = run_check("np1", g).as_dict()
+        row["details"]["pairs"] = -1
+        assert run_check("np1", g).details["pairs"] == 24 * 24
+
+
 class TestCentralizerRows:
     @pytest.mark.parametrize(
         "pool", ["catalog_groups", "family_pool", "central_series_pool", "centerless_pool"]
@@ -197,7 +312,10 @@ class TestCentralizerRows:
     )
     def test_planted_bit_matches_formula_witnesses(self, monkeypatch, field, i, j):
         # no group fails np1, co1 or zclass1, so flip one bit of a relabelled
-        # S4's rows; the first failing pair, in pair order, is the witness
+        # S4's rows; the first failing pair, in pair order, is the witness.
+        # The two sampled settings differ only in the seed, and the planted
+        # contains and z_rows bits are first hit at different pairs under
+        # them, so a memo that ignored the seed would return a stale witness.
         g = relabel_group(symmetric(4), random.Random(4).sample(range(24), 24))
         real = analytics._centralizers(g)
         planted = getattr(real, field).copy()
@@ -205,7 +323,8 @@ class TestCentralizerRows:
         fake = real._replace(**{field: planted})
         monkeypatch.setattr(checks, "_centralizers", lambda G: fake)
         readers = {"contains": {"np1"}, "z_contains": {"np1", "co1"}, "z_rows": {"co1", "zclass1"}}
-        for s in (CheckSettings(), CheckSettings(exhaustive_cap=0)):
+        sampled = (CheckSettings(exhaustive_cap=0), CheckSettings(exhaustive_cap=0, seed=1))
+        for s in (CheckSettings(), *sampled):
             want = formula_pair_checks(g, s, fake)
             for cid, expected in want.items():
                 got = run_check(cid, g, s)
@@ -215,7 +334,9 @@ class TestCentralizerRows:
 
     def test_planted_abelian_rows(self, monkeypatch):
         # no group is a counterexample to za1 or bbu, so plant abelian flags:
-        # E128 meets za1's hypothesis, Heis(4) is ultraspecial of order 2^6
+        # E128 meets za1's hypothesis, Heis(4) is ultraspecial of order 2^6.
+        # run_check memoizes its result on the group, so each plant gets a
+        # freshly built group.
         real = analytics._centralizers
 
         def plant(g, rows, value):
@@ -231,6 +352,7 @@ class TestCentralizerRows:
         last = plant(g, [-2], True)
         assert not analytics.nonabelian_centralizer_check(g)
         assert run_check("za1", g).details == {"abelian_centralizer": last - 1, "order": 64}
+        g = extraspecial2(3, "plus")
         plant(g, [5, -2], True)
         assert run_check("za1", g).details == {"abelian_centralizer": 5, "order": 64}
         g = extraspecial2(3, "plus")
