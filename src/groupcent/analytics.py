@@ -24,6 +24,7 @@ from .core import (
     _center_elements,
     _commuting_matrix,
     _derived_elements,
+    _element_index,
     _generators,
     _is_closed,
     center,
@@ -37,7 +38,6 @@ from .core import (
 from .errors import (
     AbelianGroupError,
     BadN,
-    BadParameter,
     CentralElementError,
     InvariantViolation,
     NotPerfectQuotient,
@@ -116,7 +116,12 @@ class _Centralizers(NamedTuple):
     (size, elements) order, then G. ``index[x]`` is the row of C(x) and
     ``z_rows[i]`` the center of row i; ``contains[i, j]`` says row i lies in
     row j, ``z_contains[i, j]`` the same of their centers. ``abelian[i]``
-    says row i is abelian, that is, equal to its own center."""
+    says row i is abelian, that is, equal to its own center.
+
+    Both containments are read off the Z rows, with no matrix product:
+    row i lies in C(y) iff y lies in Z_i, so ``contains`` gathers the Z rows
+    at one element of each row, and ``z_contains`` tests each Z row as a
+    subset of every other."""
 
     index: np.ndarray
     rows: np.ndarray
@@ -124,12 +129,6 @@ class _Centralizers(NamedTuple):
     contains: np.ndarray
     z_contains: np.ndarray
     abelian: np.ndarray
-
-
-def _containment(rows: np.ndarray) -> np.ndarray:
-    # |A n B| = |A| iff A <= B; float32 counts are exact below 2^24 elements.
-    f = rows.astype(np.float32)
-    return f @ f.T == rows.sum(axis=1)[:, None]
 
 
 @memoized
@@ -155,7 +154,8 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     # G is the one row of size |G|, so it sorts last
     canon = sorted(range(first.size), key=lambda i: (len(elems[i]), elems[i]))
     index = np.argsort(canon)[inverse.reshape(-1)]
-    rows = k[first[canon]]
+    reps = first[canon]
+    rows = k[reps]
     # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that is Z(x).
     z_rows = np.array([k[r].all(axis=0) for r in rows])
 
@@ -170,7 +170,11 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
         raise InvariantViolation("the Z(x) together with the center do not cover the group")
 
     abelian = (z_rows == rows).all(axis=1)
-    cz = _Centralizers(index, rows, z_rows, _containment(rows), _containment(z_rows), abelian)
+    # row i lies in C(y) iff y commutes with all of row i, that is, iff y lies in Z_i
+    contains = z_rows[:, reps]
+    # a subset test of its own, so np1 compares two independent derivations
+    z_contains = np.array([z_rows[:, z].all(axis=1) for z in z_rows])
+    cz = _Centralizers(index, rows, z_rows, contains, z_contains, abelian)
     for a in cz:
         a.setflags(write=False)
     return cz
@@ -259,9 +263,9 @@ def conjugate_type(G: FiniteGroup) -> ConjugateTypeReport:
 def central_partition(G: FiniteGroup) -> PartitionReport:
     """Project the distinct Z(x) into G/Z(G) and test partition/normality.
 
-    This is computed from the coset labels of G/Z, independent of the
-    centralizer-containment route used by is_F_group, so the two can be
-    cross-validated against each other.
+    This reads the Z rows through the coset labels of G/Z, while is_F_group
+    reads them at the row representatives (the ``contains`` gather), so the
+    two verdicts are cross-validated from one source by different routes.
     """
     z_rows = _centralizers(G).z_rows[:-1]
     label = _central_cosets(G)
@@ -454,8 +458,7 @@ def _sandwich_chains(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
 
 def quotient_centralizer_sandwich(G: FiniteGroup, x: int) -> tuple[int, int, int]:
     """(|C(x)|/|Z(G)|, |C(x Z)| in G/Z, |C(x)|) with the chain asserted."""
-    if not 0 <= x < G.order:
-        raise BadParameter(f"element index {x} out of range")
+    x = _element_index(G, x)
     if x in _center_elements(G):
         raise CentralElementError(f"element {x} is central")
     chain = lower, middle, upper = _sandwich_chains(G)[x]

@@ -417,50 +417,45 @@ def _uniform_type_check(G, k_wanted):
     return ct, None
 
 
-def _check_5sb(G, s):
-    ct, skip = _uniform_type_check(G, 1)
-    if skip:
-        return skip
-    n = cent_count(G)
-    rhs = _quotient_is_elementary(G, ct.p, 2)
-    details = {"n": n, "p": ct.p, "n_minus_2_equals_p": n - 2 == ct.p, "quotient_is_CpxCp": rhs}
-    return (PASS, details) if (n - 2 == ct.p) == rhs else (FAIL, details)
+def _type_pk_quotient_check(k, n_key, q_key):
+    """The check that, for type (p^k, 1), n - 2 = p^k iff G/Z is C_p^2k."""
+
+    def check(G, s):
+        ct, skip = _uniform_type_check(G, k)
+        if skip:
+            return skip
+        n = cent_count(G)
+        lhs, rhs = n - 2 == ct.p**k, _quotient_is_elementary(G, ct.p, 2 * k)
+        details = {"n": n, "p": ct.p, n_key: lhs, q_key: rhs}
+        return (PASS, details) if lhs == rhs else (FAIL, details)
+
+    return check
 
 
-def _check_52sb(G, s):
-    ct, skip = _uniform_type_check(G, 2)
-    if skip:
-        return skip
-    n = cent_count(G)
-    rhs = _quotient_is_elementary(G, ct.p, 4)
-    details = {"n": n, "p": ct.p, "n_minus_2_equals_p2": n - 2 == ct.p**2, "quotient_is_Cp4": rhs}
-    return (PASS, details) if (n - 2 == ct.p**2) == rhs else (FAIL, details)
+def _type_pk_bound_check(k, q_key):
+    """The check that, for type (p^k, 1), |G/Z| <= (n-2)^2 with equality iff
+    G/Z is C_p^2k."""
+
+    def check(G, s):
+        ct, skip = _uniform_type_check(G, k)
+        if skip:
+            return skip
+        n, qz = cent_count(G), _quotient_order(G)
+        bound = (n - 2) ** 2
+        if qz > bound:
+            return FAIL, {"n": n, "quotient_order": qz, "bound": bound}
+        rhs = _quotient_is_elementary(G, ct.p, 2 * k)
+        details = {"n": n, "quotient_order": qz, "equality": qz == bound, q_key: rhs}
+        return (PASS, details) if (qz == bound) == rhs else (FAIL, details)
+
+    return check
 
 
-def _check_np2b(G, s):
-    ct, skip = _uniform_type_check(G, 1)
-    if skip:
-        return skip
-    n, qz = cent_count(G), _quotient_order(G)
-    bound = (n - 2) ** 2
-    if qz > bound:
-        return FAIL, {"n": n, "quotient_order": qz, "bound": bound}
-    rhs = _quotient_is_elementary(G, ct.p, 2)
-    details = {"n": n, "quotient_order": qz, "equality": qz == bound, "quotient_is_CpxCp": rhs}
-    return (PASS, details) if (qz == bound) == rhs else (FAIL, details)
-
-
-def _check_np2a(G, s):
-    ct, skip = _uniform_type_check(G, 2)
-    if skip:
-        return skip
-    n, qz = cent_count(G), _quotient_order(G)
-    bound = (n - 2) ** 2
-    if qz > bound:
-        return FAIL, {"n": n, "quotient_order": qz, "bound": bound}
-    rhs = _quotient_is_elementary(G, ct.p, 4)
-    details = {"n": n, "quotient_order": qz, "equality": qz == bound, "quotient_is_Cp4": rhs}
-    return (PASS, details) if (qz == bound) == rhs else (FAIL, details)
+# one callable per check id, as run_check memoizes results by callable
+_check_5sb = _type_pk_quotient_check(1, "n_minus_2_equals_p", "quotient_is_CpxCp")
+_check_52sb = _type_pk_quotient_check(2, "n_minus_2_equals_p2", "quotient_is_Cp4")
+_check_np2b = _type_pk_bound_check(1, "quotient_is_CpxCp")
+_check_np2a = _type_pk_bound_check(2, "quotient_is_Cp4")
 
 
 def _check_semi(G, s):

@@ -304,21 +304,26 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(_center_elements(G).tolist()))
 
 
-def centralizer(G: FiniteGroup, x: int) -> Subgroup:
-    """Elements commuting with x; always contains <x> and the center."""
+def _element_index(G: FiniteGroup, x) -> int:
+    """x as an element of G; BadParameter unless it is an integer in range."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise BadParameter(f"element indices must be integers, not {x!r}") from None
     if not 0 <= x < G.order:
         raise BadParameter(f"element index {x} out of range")
-    return Subgroup(G, tuple(np.flatnonzero(_commuting_matrix(G)[x]).tolist()))
+    return x
+
+
+def centralizer(G: FiniteGroup, x: int) -> Subgroup:
+    """Elements commuting with x; always contains <x> and the center."""
+    k = _commuting_matrix(G)[_element_index(G, x)]
+    return Subgroup(G, tuple(np.flatnonzero(k).tolist()))
 
 
 def generated_subgroup(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest closed subset containing the generators and the identity."""
-    try:
-        gen_list = [operator.index(g) for g in gens]
-    except TypeError:
-        raise BadParameter("generator indices must be integers") from None
-    if any(g < 0 or g >= G.order for g in gen_list):
-        raise BadParameter("generator index out of range")
+    gen_list = [_element_index(G, g) for g in gens]
     reached = np.arange(G.order) == G.identity
     _adjoin(G.table, reached, [], gen_list)
     return Subgroup(G, tuple(np.flatnonzero(reached).tolist()))

@@ -263,6 +263,12 @@ def loop_tabulate_permutations(perms):
     return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
 
 
+def _containment(rows: np.ndarray) -> np.ndarray:
+    # |A n B| = |A| iff A <= B; float32 counts are exact below 2^24 elements.
+    f = rows.astype(np.float32)
+    return f @ f.T == rows.sum(axis=1)[:, None]
+
+
 def unique_rows_centralizers(G):
     """Oracle for analytics._centralizers: the distinct rows of K by
     np.unique(axis=0) over the packed rows, unmemoized."""
@@ -292,7 +298,7 @@ def unique_rows_centralizers(G):
 
     abelian = (z_rows == rows).all(axis=1)
     return analytics._Centralizers(
-        index, rows, z_rows, analytics._containment(rows), analytics._containment(z_rows), abelian
+        index, rows, z_rows, _containment(rows), _containment(z_rows), abelian
     )
 
 

@@ -58,6 +58,7 @@ from groupcent.errors import (
 )
 
 from conftest import (
+    _containment,
     assert_centralizers_match_loops,
     quotient_central_partition,
     quotient_has_exponent,
@@ -226,6 +227,24 @@ class TestCentralizerRows:
             got, want = analytics._centralizers(g), unique_rows_centralizers(g)
             for field, a, b in zip(want._fields, got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (g.name, field)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: dihedral(8), lambda: symmetric(4), lambda: dihedral(12)],
+        ids=["D8", "S4", "D12"],
+    )
+    def test_z_containment_is_its_own_subset_test(self, monkeypatch, build):
+        # K with one bit flipped in one direction only still passes the count,
+        # sandwich and covering checks. contains is read at the row elements
+        # and z_contains by a subset test, so they disagree and np1 fails; a
+        # z_contains taken as the transpose of contains would let np1 pass.
+        k = analytics._commuting_matrix(build()).copy()
+        k[1, 0] = ~k[1, 0]
+        monkeypatch.setattr(analytics, "_commuting_matrix", lambda G: k)
+        g = build()
+        cz = analytics._centralizers(g)
+        assert np.array_equal(cz.z_contains, _containment(cz.z_rows))
+        assert run_check("np1", g).status == checks.FAIL
 
 
 class TestCosetLabels:
@@ -396,11 +415,15 @@ class TestSandwich:
         with pytest.raises(CentralElementError):
             quotient_centralizer_sandwich(g, g.identity)
 
-    @pytest.mark.parametrize("x", [-1, 8], ids=["negative", "order"])
+    @pytest.mark.parametrize("x", [-1, 8, 1.5], ids=["negative", "order", "float"])
     def test_out_of_range_element_rejected(self, x):
         g = dihedral(8)
         with pytest.raises(BadParameter):
             quotient_centralizer_sandwich(g, x)
+
+    def test_bool_element_is_its_integer(self):
+        g = symmetric(3)
+        assert quotient_centralizer_sandwich(g, True) == quotient_centralizer_sandwich(g, 1)
 
 
 class TestPerfectQuotient:

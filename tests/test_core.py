@@ -246,6 +246,14 @@ class TestCenterAndCentralizer:
         with pytest.raises(BadParameter):
             centralizer(cyclic(3), 7)
 
+    def test_non_integer_element_rejected(self):
+        with pytest.raises(BadParameter, match="integers"):
+            centralizer(symmetric(3), 1.5)
+
+    def test_bool_element_is_its_integer(self):
+        g = symmetric(3)
+        assert centralizer(g, True) == centralizer(g, 1)
+
 
 class TestGeneratedAndDerived:
     def test_empty_generators(self):
