@@ -447,13 +447,18 @@ def gcd_condition(n: int, q_order: int) -> bool:
 @memoized
 def _sandwich_chains(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """Entry x is (|C(x)|/|Z(G)|, |C(x Z)| in G/Z, |C(x)|)."""
-    label = _central_cosets(G)
-    reps = np.unique(label, return_index=True)[1]
-    # xZ and yZ commute iff the labels of xy and yx agree
-    lt = label[G.table[np.ix_(reps, reps)]]
-    middle = (lt == lt.T).sum(axis=1)[label]
     upper = _commuting_matrix(G).sum(axis=1)
-    return tuple(map(tuple, np.stack([upper // _center_elements(G).size, middle, upper], 1).tolist()))
+    z = _center_elements(G).size
+    if z == 1:
+        # the labels are the identity map, so G/Z is G and the q x q table is K
+        middle = upper
+    else:
+        label = _central_cosets(G)
+        reps = np.unique(label, return_index=True)[1]
+        # xZ and yZ commute iff the labels of xy and yx agree
+        lt = label[G.table[np.ix_(reps, reps)]]
+        middle = (lt == lt.T).sum(axis=1)[label]
+    return tuple(map(tuple, np.stack([upper // z, middle, upper], 1).tolist()))
 
 
 def quotient_centralizer_sandwich(G: FiniteGroup, x: int) -> tuple[int, int, int]:

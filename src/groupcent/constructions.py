@@ -1,7 +1,11 @@
 """Builders for the group families used throughout the catalog.
 
 Every builder routes its table through ``from_table`` validation, so a value
-returned from here is a checked group, not just a plausible one.
+returned from here is a checked group, not just a plausible one. Tables are
+stored as uint16; a builder whose order exceeds ``TABLE_ORDER_CAP`` raises
+TooLarge before it allocates its n x n array. Builders whose arithmetic
+stays below 2^16 write uint16 directly; the others keep a wider dtype and
+let ``from_table`` cast.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 from .core import (
     FiniteGroup,
     Subgroup,
+    _check_order,
     center,
     direct_product,
     from_table,
@@ -41,6 +46,7 @@ HEISENBERG_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise BadParameter("cyclic group order must be >= 1")
+    _check_order(n)
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return from_table(table, name=f"C{n}")
 
@@ -51,7 +57,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise BadParameter(f"{p} is not prime")
     if k < 0:
         raise BadParameter("exponent must be >= 0")
-    n = p**k
+    n = _check_order(p**k)
     idx = np.arange(n)
     table = np.zeros((n, n), dtype=np.int64)
     for i in range(k):
@@ -66,14 +72,15 @@ def dihedral(two_n: int) -> FiniteGroup:
     """Dihedral group of order two_n (rotations first, then reflections)."""
     if two_n % 2 != 0 or two_n < 6:
         raise BadParameter(f"dihedral order must be even and >= 6, got {two_n}")
+    _check_order(two_n)
     # Element f * half + i is s^f r^i, and s^f1 r^i1 s^f2 r^i2 is
-    # s^(f1 ^ f2) r^(i2 + sign * i1) with sign = -1 when f2 = 1. Built in
-    # place in int32, so no wider n x n temporary appears.
+    # s^(f1 ^ f2) r^(i2 + i1) when f2 = 0 and r^(i2 + half - i1) when f2 = 1.
+    # Built in place in uint16: no sum exceeds two_n - 1, and none is negative.
     half = two_n // 2
-    idx = np.arange(two_n, dtype=np.int32)
-    i, sign = idx % half, 1 - 2 * (idx // half)
-    table = sign[None, :] * i[:, None]
-    table += i[None, :]
+    i = np.arange(two_n, dtype=np.uint16) % half
+    table = np.empty((two_n, two_n), dtype=np.uint16)
+    np.add(i[:, None], i[None, :half], out=table[:, :half])
+    np.add((half - i)[:, None], i[None, half:], out=table[:, half:])
     table %= half
     table[:half, half:] += half
     table[half:, :half] += half
@@ -169,6 +176,7 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
     """
     K, H = spec.kernel, spec.complement
     nk, nh = K.order, H.order
+    _check_order(nk * nh)
     if len(spec.action) != nh:
         raise NotAnAction(f"need one permutation per complement element, got {len(spec.action)}")
     perms = []
@@ -185,7 +193,8 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
                 raise NotAnAction(f"action is not a homomorphism at ({h1}, {h2})")
 
     n = nk * nh
-    table = np.zeros((n, n), dtype=np.int64)
+    # in uint16: k * nh + h <= n - 1
+    table = np.zeros((n, n), dtype=np.uint16)
     ks = np.arange(nk)
     for h1 in range(nh):
         twisted = K.table[:, perms[h1]]  # [k1, k2] -> k1 * action(h1)(k2)

@@ -1,9 +1,11 @@
 """Dense-table finite groups: validation, subgroups, quotients, recognizers.
 
 Elements of a group of order n are the indices 0..n-1 and the whole group is
-a single n x n product table, so every product, inverse and commutation scan
-is an O(1) array lookup. All values are immutable after construction and safe
-to share across threads.
+a single n x n uint16 product table, so every product, inverse and
+commutation scan is an O(1) array lookup, and a table costs 2 n^2 bytes.
+Orders above TABLE_ORDER_CAP raise TooLarge before anything n x n is
+allocated. All values are immutable after construction and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -22,18 +24,36 @@ from .errors import (
     NotNormal,
     NotPrime,
     OrderCapExceeded,
+    TooLarge,
 )
 
 # isomorphic() refuses orders above this cap. The predicates and checks never
 # call it: they recognize groups from invariants, with no order cap.
 ISOMORPHISM_ORDER_CAP = 512
 
+# Tables hold uint16 element indices, so no group is larger than this.
+TABLE_ORDER_CAP = int(np.iinfo(np.uint16).max)
+
+
+def _check_order(n: int) -> int:
+    """n, unless a group of order n would not fit a uint16 table: then
+    TooLarge. Every builder calls it before it allocates its n x n array."""
+    if n > TABLE_ORDER_CAP:
+        raise TooLarge(
+            f"order {n} exceeds {TABLE_ORDER_CAP}: its uint16 table would take {2 * n * n} bytes"
+        )
+    return n
+
 
 class FiniteGroup:
     """A finite group on elements 0..order-1 with a dense product table.
 
     ``table[i, j]`` is the index of the product of element i by element j.
-    The identity is wherever validation finds it, not pinned to index 0.
+    ``table`` and ``inverses`` are read-only uint16 arrays, so the order is
+    at most TABLE_ORDER_CAP and the table takes 2 n^2 bytes. Their values
+    are unsigned 16-bit: arithmetic on them must not subtract or pass 65535
+    without widening first. The identity is wherever validation finds it,
+    not pinned to index 0.
     Derived data (center, centralizer rows, predicates) is memoized on the
     instance as arrays and plain values that never point back at the group,
     so it is computed once, and a dropped group is freed at once by refcount.
@@ -230,18 +250,22 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     Validation is exact at every order: a two-sided identity and inverses,
     then Light's associativity test on a generating set, which the group
     keeps for later use. Raises NotAGroup with the witnessing triple or
-    element when any axiom fails.
+    element when any axiom fails, and TooLarge above TABLE_ORDER_CAP before
+    any entry is read.
+
+    The group keeps a read-only uint16 copy of the table, so the caller's
+    array is never frozen or aliased.
     """
     src = np.asarray(table)
     if src.ndim != 2 or src.shape[0] != src.shape[1]:
         raise NotAGroup(f"table must be square, got shape {src.shape}")
-    n = src.shape[0]
+    n = _check_order(src.shape[0])
     if n == 0:
         raise NotAGroup("table is empty")
-    # checked on the source: the int32 cast truncates floats and wraps wide ints
+    # checked on the source: the uint16 cast truncates floats and wraps wide ints
     if not np.issubdtype(src.dtype, np.integer) or src.min() < 0 or src.max() >= n:
         raise NotAGroup(f"table entries must be integers in [0, {n})")
-    arr = np.array(src, dtype=np.int32)
+    arr = np.array(src, dtype=np.uint16)
     arr.setflags(write=False)
 
     expect = np.arange(n, dtype=arr.dtype)
@@ -261,7 +285,7 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     if not (arr[rinv, expect] == identity).all():
         i = int(np.argmin(arr[rinv, expect] == identity))
         raise NotAGroup(f"element {i} has no two-sided inverse")
-    inverses = rinv.astype(np.int32)
+    inverses = rinv.astype(np.uint16)
     inverses.setflags(write=False)
 
     gens = _greedy_generators(arr, identity)
@@ -405,8 +429,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientResult:
     # canonical coset label = least element of xN
     canon = G.table[:, elems].min(axis=1)
     reps = np.unique(canon)
-    qindex = np.full(G.order, -1, dtype=np.int32)
-    qindex[reps] = np.arange(reps.size, dtype=np.int32)
+    # every canon value is a rep; the fill is out of range for from_table
+    qindex = np.full(G.order, TABLE_ORDER_CAP, dtype=np.uint16)
+    qindex[reps] = np.arange(reps.size, dtype=np.uint16)
     qtable = qindex[canon[G.table[np.ix_(reps, reps)]]]
     q = from_table(qtable, name=f"{G.name}/N{N.order}")
     projection = tuple(int(v) for v in qindex[canon])
@@ -416,15 +441,19 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientResult:
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     """H with its inherited product, reindexed to 0..|H|-1."""
     elems = _require_subgroup(G, H)
-    pos = np.full(G.order, -1, dtype=np.int32)
-    pos[elems] = np.arange(elems.size, dtype=np.int32)
+    # H is closed, so every product is in elems; the fill is out of range for from_table
+    pos = np.full(G.order, TABLE_ORDER_CAP, dtype=np.uint16)
+    pos[elems] = np.arange(elems.size, dtype=np.uint16)
     table = pos[G.table[np.ix_(elems, elems)]]
     return from_table(table, name=f"{G.name}|H{H.order}")
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, indexed as a * |B| + b."""
+    """Componentwise product on pairs, indexed as a * |B| + b. Computed in
+    the factors' uint16: a * |B| + b <= |A| |B| - 1, which the order check
+    keeps below 2^16."""
     na, nb = A.order, B.order
+    _check_order(na * nb)
     table = (A.table[:, None, :, None] * nb + B.table[None, :, None, :]).reshape(na * nb, na * nb)
     return from_table(table, name=f"{A.name}x{B.name}")
 

@@ -46,7 +46,8 @@ class NotIrreducible(GroupTheoryError):
 
 
 class TooLarge(GroupTheoryError):
-    """A permutation closure exceeded the enumeration cap."""
+    """A group is larger than a supported size: its order exceeds what a
+    uint16 table holds, or a permutation closure exceeds the enumeration cap."""
 
 
 class NotAPermutation(GroupTheoryError):

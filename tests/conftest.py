@@ -418,6 +418,28 @@ def formula_heisenberg_table(field):
     return (a3.astype(np.int64) * q + b3) * q + c3
 
 
+def formula_direct_product_table(A, B):
+    """Oracle for core.direct_product: (a1, b1)(a2, b2) = (a1 a2, b1 b2), the
+    pair (a, b) indexed as a * |B| + b, in int64."""
+    nb = B.order
+    idx = np.arange(A.order * nb)
+    a, b = idx // nb, idx % nb
+    ta, tb = A.table.astype(np.int64), B.table.astype(np.int64)
+    return ta[a[:, None], a[None, :]] * nb + tb[b[:, None], b[None, :]]
+
+
+def formula_semidirect_table(spec):
+    """Oracle for constructions.semidirect: (k1, h1)(k2, h2) =
+    (k1 * action(h1)(k2), h1 h2), the pair (k, h) indexed as k * |H| + h, in
+    int64."""
+    nh = spec.complement.order
+    idx = np.arange(spec.kernel.order * nh)
+    k, h = idx // nh, idx % nh
+    act = np.asarray(spec.action, dtype=np.int64)
+    tk, th = spec.kernel.table.astype(np.int64), spec.complement.table.astype(np.int64)
+    return tk[k[:, None], act[h[:, None], k[None, :]]] * nh + th[h[:, None], h[None, :]]
+
+
 def assert_centralizers_match_loops(G, settings_list):
     """The commuting-matrix results for G equal the loop oracles: sizes,
     distinct centralizers and their order, Z(x), the F and CA predicates,

@@ -41,6 +41,7 @@ from groupcent.errors import (
 from conftest import (
     brute_force_bad_triple,
     formula_heisenberg_table,
+    formula_semidirect_table,
     loop_element_orders,
     loop_tabulate_permutations,
 )
@@ -65,7 +66,7 @@ class TestNamedFamilies:
         assert elementary_abelian(3, 2).order == 9
         assert cyclic(11).order == 11
 
-    @pytest.mark.parametrize("two_n", [8, 12])
+    @pytest.mark.parametrize("two_n", [8, 12, 10, 30])
     def test_dihedral_matches_reference_formula(self, two_n):
         half = two_n // 2
         want = [[0] * two_n for _ in range(two_n)]
@@ -122,6 +123,23 @@ class TestSemidirect:
         inv = tuple((-x) % 5 for x in range(5))
         with pytest.raises(NotAnAction):
             semidirect(ActionSpec(K, H, (tuple(range(5)), inv, inv, inv)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # C101 by C4 acting by x -> 10x, a unit of order 4
+            lambda: ActionSpec(cyclic(101), cyclic(4), tuple(
+                tuple(x * 10**j % 101 for x in range(101)) for j in range(4)
+            )),
+            lambda: ActionSpec(elementary_abelian(3, 2), cyclic(2), (
+                tuple(range(9)), tuple(elementary_abelian(3, 2).inverses.tolist())
+            )),
+        ],
+        ids=["C101:C4", "Dih(C3^2)"],
+    )
+    def test_matches_int64_formula(self, spec):
+        spec = spec()
+        assert np.array_equal(semidirect(spec).table, formula_semidirect_table(spec))
 
 
 class TestFrobenius:

@@ -5,17 +5,21 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from groupcent import (
+    ActionSpec,
     CentralizerProfile,
     FiniteGroup,
     QuotientResult,
     Subgroup,
     center,
+    central_product,
     centralizer,
     cyclic,
     derived_subgroup,
@@ -36,6 +40,7 @@ from groupcent import (
     profile,
     quaternion8,
     quotient,
+    semidirect,
     subgroup_as_group,
     symmetric,
     alternating,
@@ -49,11 +54,13 @@ from groupcent.errors import (
     NotNormal,
     NotPrime,
     OrderCapExceeded,
+    TooLarge,
 )
 
 from conftest import (
     bfs_greedy_generators,
     brute_force_bad_triple,
+    formula_direct_product_table,
     loop_element_orders,
     right_closure,
     table_derived_subgroup,
@@ -168,6 +175,69 @@ class TestFromTable:
         g = cyclic(4)
         with pytest.raises(ValueError):
             g.table[0, 0] = 1
+
+
+def assert_uint16_tables(groups):
+    for g in groups:
+        for a in (g.table, g.inverses):
+            assert a.dtype == np.uint16 and not a.flags.writeable, g.name
+
+
+class TestTableDtype:
+    def test_oracle_pool(self, oracle_pool):
+        assert_uint16_tables(oracle_pool)
+
+    def test_derived_groups(self):
+        d12, q8 = dihedral(12), quaternion8()
+        doubling = tuple(tuple(x * 2**j % 7 for x in range(7)) for j in range(3))
+        assert_uint16_tables([
+            quotient(d12, center(d12)).quotient,
+            subgroup_as_group(d12, derived_subgroup(d12)),
+            core.renamed(d12, "D12 renamed"),
+            direct_product(d12, q8),
+            central_product(dihedral(8), q8),
+            semidirect(ActionSpec(cyclic(7), cyclic(3), doubling)),
+        ])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    def test_user_table_is_copied(self, dtype):
+        src = dihedral(12).table.astype(dtype)
+        before = src.copy()
+        g = from_table(src)
+        assert src.flags.writeable and np.array_equal(src, before)
+        assert not np.shares_memory(g.table, src)
+
+
+class TestOrderCap:
+    # each entry returns the call to trace; the factors are built before tracing starts
+    @pytest.mark.parametrize(
+        "setup,match",
+        [
+            # a zero-memory view of a 65536 x 65536 table
+            (lambda: partial(from_table, np.broadcast_to(np.zeros((1, 1), np.uint8), (65536, 65536))),
+             "order 65536 .* 8589934592 bytes"),
+            (lambda: partial(cyclic, 65536), "order 65536"),
+            (lambda: partial(dihedral, 65536), "order 65536"),
+            (lambda: partial(elementary_abelian, 2, 16), "order 65536"),
+            (lambda: partial(direct_product, cyclic(256), cyclic(257)), "order 65792"),
+            (lambda: partial(semidirect, ActionSpec(cyclic(256), cyclic(257), ())), "order 65792"),
+        ],
+        ids=["from_table_view", "cyclic", "dihedral", "elementary_abelian",
+             "direct_product", "semidirect"],
+    )
+    def test_raised_before_allocating(self, setup, match):
+        build = setup()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=match):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_largest_order_passes_the_check(self):
+        assert core._check_order(core.TABLE_ORDER_CAP) == 65535
 
 
 class TestGeneratingSet:
@@ -391,6 +461,16 @@ class TestDirectProduct:
     def test_c6_x_a5(self):
         p = direct_product(cyclic(6), alternating(5))
         assert p.order == 360 and center(p).order == 6
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: (symmetric(4), dihedral(14)), lambda: (alternating(5), cyclic(7)),
+         lambda: (quaternion8(), from_table([[0]]))],
+        ids=["S4xD14", "A5xC7", "Q8x1"],
+    )
+    def test_matches_int64_formula(self, build):
+        a, b = build()
+        assert np.array_equal(direct_product(a, b).table, formula_direct_product_table(a, b))
 
 
 class TestRecognizers:
