@@ -22,6 +22,7 @@ from .core import (
     QuotientResult,
     Subgroup,
     _center_elements,
+    _centralizer_orders,
     _commuting_matrix,
     _derived_elements,
     _element_index,
@@ -346,7 +347,7 @@ def is_semi_extraspecial(G: FiniteGroup) -> bool:
     if not 1 < zg.size < G.order or not np.array_equal(_derived_elements(G), zg):
         return False
     # central x have |C(x)| = |G|; the others need index |Z|
-    sizes = _commuting_matrix(G).sum(axis=1)
+    sizes = _centralizer_orders(G)
     return _pth_powers_central(G, p) and bool(np.isin(sizes, (G.order, G.order // zg.size)).all())
 
 
@@ -447,7 +448,7 @@ def gcd_condition(n: int, q_order: int) -> bool:
 @memoized
 def _sandwich_chains(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
     """Entry x is (|C(x)|/|Z(G)|, |C(x Z)| in G/Z, |C(x)|)."""
-    upper = _commuting_matrix(G).sum(axis=1)
+    upper = _centralizer_orders(G)
     z = _center_elements(G).size
     if z == 1:
         # the labels are the identity map, so G/Z is G and the q x q table is K

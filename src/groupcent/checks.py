@@ -46,7 +46,7 @@ from .analytics import (
 from .core import (
     FiniteGroup,
     _center_elements,
-    _commuting_matrix,
+    _centralizer_orders,
     _derived_elements,
     is_abelian,
     is_nilpotent,
@@ -242,7 +242,7 @@ def _is_frobenius_prime_cyclic(G: FiniteGroup) -> bool:
     q = largest_prime_divisor(G.order)
     m = G.order // q
     orders = np.asarray(G.element_orders)
-    sizes = _commuting_matrix(G).sum(axis=1)
+    sizes = _centralizer_orders(G)
     return bool(m > 1 and ((orders == q) & (sizes == q)).any() and (orders == m).any())
 
 
@@ -477,7 +477,7 @@ def _check_bbu(G, s):
     cz = _centralizers(G)
     if not cz.abelian[:-1].all():
         i = int(np.argmin(cz.abelian[:-1]))
-        return FAIL, {"nonabelian_centralizer_order": int(cz.rows[i].sum())}
+        return FAIL, {"nonabelian_centralizer_order": int(_proper_sizes(G)[i])}
     covers = bool(cz.rows[:-1].any(axis=0).all())
     qz = _quotient_order(G)
     details = {
@@ -568,7 +568,7 @@ def _check_za1(G, s):
         return PASS, {"p": ct.p, "k": ct.k, "proper_centralizers": cent_count(G) - 1}
     cz = _centralizers(G)
     i = int(np.argmax(cz.abelian[:-1]))
-    return FAIL, {"abelian_centralizer": i, "order": int(cz.rows[i].sum())}
+    return FAIL, {"abelian_centralizer": i, "order": int(_proper_sizes(G)[i])}
 
 
 def _check_tom11(G, s):

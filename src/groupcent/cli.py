@@ -206,7 +206,8 @@ _TEXT_RENDERERS = {
 
 
 def _load_catalog_file(path: str) -> list[CatalogEntry]:
-    """A catalog file is a JSON list of {name, spec, expected?} objects."""
+    """A catalog file is a JSON list of {name, spec, expected?} objects: name
+    and spec are strings, expected an object or null."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise SpecParseError("catalog file must contain a JSON list")
@@ -214,6 +215,10 @@ def _load_catalog_file(path: str) -> list[CatalogEntry]:
     for i, item in enumerate(data):
         if not isinstance(item, dict) or "name" not in item or "spec" not in item:
             raise SpecParseError(f"catalog entry {i} needs 'name' and 'spec' fields")
+        if not isinstance(item["name"], str) or not isinstance(item["spec"], str):
+            raise SpecParseError(f"catalog entry {i}: 'name' and 'spec' must be strings")
+        if not isinstance(item.get("expected"), (dict, type(None))):
+            raise SpecParseError(f"catalog entry {i}: 'expected' must be an object or null")
         entries.append(CatalogEntry(item["name"], item["spec"], item.get("expected")))
     return entries
 

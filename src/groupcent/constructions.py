@@ -3,9 +3,14 @@
 Every builder routes its table through ``from_table`` validation, so a value
 returned from here is a checked group, not just a plausible one. Tables are
 stored as uint16; a builder whose order exceeds ``TABLE_ORDER_CAP`` raises
-TooLarge before it allocates its n x n array. Builders whose arithmetic
-stays below 2^16 write uint16 directly; the others keep a wider dtype and
-let ``from_table`` cast.
+TooLarge before it allocates its n x n array. ``elementary_abelian``,
+``dihedral`` and ``semidirect`` write uint16 directly, and ``cyclic`` hands
+``from_table`` a uint16 view; ``heisenberg``, ``quaternion8`` and the
+permutation builders keep a wider dtype and let ``from_table`` cast.
+
+Each spec family's parameter domain is one private ``_check_*`` function,
+the first step of its builder. The spec parser runs the same function on a
+builtin part, so a bad argument is rejected before anything is built.
 """
 
 from __future__ import annotations
@@ -43,35 +48,56 @@ PERMUTATION_CLOSURE_CAP = 10000
 HEISENBERG_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 
-def cyclic(n: int) -> FiniteGroup:
+def _check_cyclic(n: int) -> None:
     if n < 1:
         raise BadParameter("cyclic group order must be >= 1")
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    """The table of C_n as a uint16 view: row i is the window i, ..., i + n - 1
+    of 0..n-1 written twice, so nothing n x n is allocated."""
+    wrapped = (np.arange(2 * n - 1) % n).astype(np.uint16)
+    return np.lib.stride_tricks.sliding_window_view(wrapped, n)
+
+
+def cyclic(n: int) -> FiniteGroup:
+    _check_cyclic(n)
     _check_order(n)
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return from_table(table, name=f"C{n}")
+    return from_table(_cyclic_table(n), name=f"C{n}")
 
 
-def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    """Direct power C_p^k, with digit-wise addition base p."""
+def _check_elementary_abelian(p: int, k: int) -> None:
     if not is_prime(p):
         raise BadParameter(f"{p} is not prime")
     if k < 0:
         raise BadParameter("exponent must be >= 0")
-    n = _check_order(p**k)
-    idx = np.arange(n)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(k):
-        di = (idx[:, None] // p**i) % p
-        dj = (idx[None, :] // p**i) % p
-        table += ((di + dj) % p) * p**i
+
+
+def elementary_abelian(p: int, k: int) -> FiniteGroup:
+    """Direct power C_p^k, with digit-wise addition base p."""
+    _check_elementary_abelian(p, k)
+    _check_order(p**k)
+    # C_p^(j+1) from C_p^j by a new leading digit, in uint16 and in place:
+    # no entry exceeds p^k - 1
+    table = np.zeros((1, 1), dtype=np.uint16)
+    for _ in range(k):
+        m = table.shape[0]
+        grown = np.empty((p, m, p, m), dtype=np.uint16)
+        np.multiply(_cyclic_table(p)[:, None, :, None], m, out=grown)
+        grown += table[None, :, None, :]
+        table = grown.reshape(p * m, p * m)
     name = f"C{p}^{k}" if k != 1 else f"C{p}"
     return from_table(table, name=name)
 
 
-def dihedral(two_n: int) -> FiniteGroup:
-    """Dihedral group of order two_n (rotations first, then reflections)."""
+def _check_dihedral(two_n: int) -> None:
     if two_n % 2 != 0 or two_n < 6:
         raise BadParameter(f"dihedral order must be even and >= 6, got {two_n}")
+
+
+def dihedral(two_n: int) -> FiniteGroup:
+    """Dihedral group of order two_n (rotations first, then reflections)."""
+    _check_dihedral(two_n)
     _check_order(two_n)
     # Element f * half + i is s^f r^i, and s^f1 r^i1 s^f2 r^i2 is
     # s^(f1 ^ f2) r^(i2 + i1) when f2 = 0 and r^(i2 + half - i1) when f2 = 1.
@@ -136,16 +162,20 @@ def _tabulate_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteGro
     return from_table(table, name=name)
 
 
-def symmetric(n: int) -> FiniteGroup:
+def _check_degree(n: int) -> None:
+    """The degrees of ``symmetric`` and ``alternating``."""
     if not 1 <= n <= 5:
-        raise BadParameter("symmetric groups supported for degree 1..5")
+        raise BadParameter(f"symmetric and alternating groups supported for degree 1..5, got {n}")
+
+
+def symmetric(n: int) -> FiniteGroup:
+    _check_degree(n)
     perms = sorted(permutations(range(n)))
     return _tabulate_permutations(perms, name=f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
-    if not 1 <= n <= 5:
-        raise BadParameter("alternating groups supported for degree 1..5")
+    _check_degree(n)
     perms = sorted(p for p in permutations(range(n)) if _parity(p) == 0)
     return _tabulate_permutations(perms, name=f"A{n}")
 
@@ -205,13 +235,7 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
     return from_table(table, name=name or f"{K.name}:{H.name}")
 
 
-def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
-    """C_q with a cyclic complement of order n acting by x -> x * r mod q.
-
-    r must have multiplicative order exactly n mod q (else BadOrder), which
-    forces the action to be fixed-point free; the defining property is still
-    re-verified after construction.
-    """
+def _check_frobenius(q: int, n: int, r: int) -> None:
     if not is_prime(q):
         raise BadParameter(f"kernel order {q} must be prime")
     if n < 2:
@@ -222,6 +246,15 @@ def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
     if k != n:
         raise BadOrder(f"r={r} has multiplicative order {k} mod {q}, need {n}")
 
+
+def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
+    """C_q with a cyclic complement of order n acting by x -> x * r mod q.
+
+    r must have multiplicative order exactly n mod q (else BadOrder), which
+    forces the action to be fixed-point free; the defining property is still
+    re-verified after construction.
+    """
+    _check_frobenius(q, n, r)
     action = tuple(
         tuple((x * pow(r, j, q)) % q for x in range(q)) for j in range(n)
     )
@@ -279,13 +312,17 @@ def central_product(
     return renamed(result.quotient, f"{A.name}o{B.name}")
 
 
-def extraspecial2(a: int, variant: str) -> FiniteGroup:
-    """Central products of a copies of D8 ("plus") or D8's and one Q8 ("minus");
-    order 2^(2a+1)."""
+def _check_extraspecial2(a: int, variant: str) -> None:
     if variant not in ("plus", "minus"):
         raise BadParameter(f"variant must be 'plus' or 'minus', got {variant!r}")
     if not 1 <= a <= 4:
         raise BadParameter("supported sizes are a = 1..4 (orders 8..512)")
+
+
+def extraspecial2(a: int, variant: str) -> FiniteGroup:
+    """Central products of a copies of D8 ("plus") or D8's and one Q8 ("minus");
+    order 2^(2a+1)."""
+    _check_extraspecial2(a, variant)
     G = dihedral(8) if variant == "plus" else quaternion8()
     for _ in range(a - 1):
         G = central_product(G, dihedral(8))
@@ -293,14 +330,21 @@ def extraspecial2(a: int, variant: str) -> FiniteGroup:
     return renamed(G, f"E{2 ** (2 * a + 1)}{sign}")
 
 
+def _check_heisenberg(p: int, e: int) -> None:
+    """The field GF(p^e) of ``heisenberg``, checked before it is built."""
+    # the membership test first: a huge p fails it without a trial division
+    if e < 1 or p**e not in HEISENBERG_FIELD_ORDERS or not is_prime(p):
+        raise BadParameter(
+            f"field order {p}^{e} not supported; need a prime p and q = p^e "
+            f"with q^3 <= 1024 (q in {HEISENBERG_FIELD_ORDERS})"
+        )
+
+
 def heisenberg(field: FiniteField) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over the field; order q^3, center of
     order q. Triples (a, b, c) multiply as (a+a', b+b', c+c'+a*b')."""
+    _check_heisenberg(field.p, field.e)
     q = field.order
-    if q not in HEISENBERG_FIELD_ORDERS:
-        raise BadParameter(
-            f"field order {q} not supported; need q^3 <= 1024 (q in {HEISENBERG_FIELD_ORDERS})"
-        )
     add, mul = field.add_table, field.mul_table
     # one axis per digit of the two factors: (a, b, c, a', b', c')
     a3 = add[:, None, None, :, None, None]

@@ -316,9 +316,18 @@ def _commuting_matrix(G: FiniteGroup) -> np.ndarray:
 
 
 @memoized
+def _centralizer_orders(G: FiniteGroup) -> np.ndarray:
+    """Entry x is |C(x)|, the row sum of K: the one pass over K that every
+    reader of centralizer orders shares."""
+    sizes = _commuting_matrix(G).sum(axis=1)
+    sizes.setflags(write=False)
+    return sizes
+
+
+@memoized
 def _center_elements(G: FiniteGroup) -> np.ndarray:
     """Z(G) as a sorted read-only index array."""
-    z = np.flatnonzero(_commuting_matrix(G).all(axis=1))
+    z = np.flatnonzero(_centralizer_orders(G) == G.order)
     z.setflags(write=False)
     return z
 
@@ -464,7 +473,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 
 @memoized
 def is_abelian(G: FiniteGroup) -> bool:
-    return bool(_commuting_matrix(G).all())
+    return _center_elements(G).size == G.order
 
 
 def is_cyclic(G: FiniteGroup) -> bool:
@@ -576,7 +585,7 @@ def isomorphic(A: FiniteGroup, B: FiniteGroup, cap: int = ISOMORPHISM_ORDER_CAP)
         return False
     # per-element (order, centralizer size); preserved by isomorphism
     fpa, fpb = (
-        list(zip(G.element_orders, _commuting_matrix(G).sum(axis=1).tolist())) for G in (A, B)
+        list(zip(G.element_orders, _centralizer_orders(G).tolist())) for G in (A, B)
     )
     if sorted(fpa) != sorted(fpb):
         return False

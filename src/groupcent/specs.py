@@ -6,6 +6,14 @@ Grammar:
               | "cayley:" path
               | "perm:" path
 
+A builtin part's arguments are converted once, in order: each integer
+argument by Python's ``int`` (so " 5", "+14" and "1_4" read as 5, 14 and
+14), and the extraspecial2 variant kept as text. Each family's domain is
+its builder's: parsing calls the builder's own check from ``constructions``,
+so an argument outside it fails at parse, before anything is built, with
+SpecParseError carrying the builder's message and "(at position N)", the
+offset of the part in the spec string.
+
 Files use 0-based decimal indices, LF line endings, and '#' comment lines;
 a comment of the form "# name: <text>" names the group.
 """
@@ -18,7 +26,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import constructions as cons
-from .core import FiniteGroup, direct_product, from_table, is_prime, renamed
+from .core import FiniteGroup, direct_product, from_table, renamed
 from .errors import (
     BadOrder,
     BadParameter,
@@ -44,114 +52,20 @@ class GroupSpec:
     parts: tuple[AtomicSpec, ...]
 
 
-def _int_arg(args: tuple[str, ...], i: int, family: str, pos: int) -> int:
-    try:
-        return int(args[i])
-    except (ValueError, IndexError):
-        raise SpecParseError(
-            f"{family}: argument {i + 1} must be an integer (at position {pos})"
-        ) from None
-
-
-_VALIDATORS: dict[str, Callable[[tuple[str, ...], int], None]] = {}
-
-
-def _validator(name: str, arity: int):
-    def wrap(fn):
-        def check(args: tuple[str, ...], pos: int) -> None:
-            if len(args) != arity:
-                raise SpecParseError(
-                    f"{name} takes {arity} argument(s), got {len(args)} (at position {pos})"
-                )
-            fn(args, pos)
-        _VALIDATORS[name] = check
-        return fn
-    return wrap
-
-
-@_validator("cyclic", 1)
-def _v_cyclic(args, pos):
-    if _int_arg(args, 0, "cyclic", pos) < 1:
-        raise SpecParseError(f"cyclic: order must be >= 1 (at position {pos})")
-
-
-@_validator("elementary_abelian", 2)
-def _v_ea(args, pos):
-    p = _int_arg(args, 0, "elementary_abelian", pos)
-    k = _int_arg(args, 1, "elementary_abelian", pos)
-    if not is_prime(p) or k < 0:
-        raise SpecParseError(f"elementary_abelian: need prime p and k >= 0 (at position {pos})")
-
-
-@_validator("dihedral", 1)
-def _v_dihedral(args, pos):
-    n = _int_arg(args, 0, "dihedral", pos)
-    if n % 2 != 0 or n < 6:
-        raise SpecParseError(f"dihedral: order must be even and >= 6, got {n} (at position {pos})")
-
-
-@_validator("quaternion8", 0)
-def _v_q8(args, pos):
-    pass
-
-
-@_validator("symmetric", 1)
-def _v_sym(args, pos):
-    if not 1 <= _int_arg(args, 0, "symmetric", pos) <= 5:
-        raise SpecParseError(f"symmetric: degree must be 1..5 (at position {pos})")
-
-
-@_validator("alternating", 1)
-def _v_alt(args, pos):
-    if not 1 <= _int_arg(args, 0, "alternating", pos) <= 5:
-        raise SpecParseError(f"alternating: degree must be 1..5 (at position {pos})")
-
-
-@_validator("extraspecial2", 2)
-def _v_es2(args, pos):
-    a = _int_arg(args, 0, "extraspecial2", pos)
-    if not 1 <= a <= 4:
-        raise SpecParseError(f"extraspecial2: size must be 1..4 (at position {pos})")
-    if args[1] not in ("plus", "minus"):
-        raise SpecParseError(f"extraspecial2: variant must be plus|minus (at position {pos})")
-
-
-@_validator("heisenberg", 2)
-def _v_heis(args, pos):
-    p = _int_arg(args, 0, "heisenberg", pos)
-    e = _int_arg(args, 1, "heisenberg", pos)
-    if not is_prime(p) or e < 1 or p**e not in cons.HEISENBERG_FIELD_ORDERS:
-        raise SpecParseError(
-            f"heisenberg: field order must be one of {cons.HEISENBERG_FIELD_ORDERS} (at position {pos})"
-        )
-
-
-@_validator("frobenius", 3)
-def _v_frob(args, pos):
-    q = _int_arg(args, 0, "frobenius", pos)
-    n = _int_arg(args, 1, "frobenius", pos)
-    r = _int_arg(args, 2, "frobenius", pos)
-    if not is_prime(q) or n < 2:
-        raise SpecParseError(f"frobenius: need prime q and n >= 2 (at position {pos})")
-    if r % q == 0:
-        raise SpecParseError(f"frobenius: r={r} is not a unit mod {q} (at position {pos})")
-    k = cons._unit_order(r, q)
-    if k != n:
-        raise SpecParseError(
-            f"frobenius: r={r} has order {k} mod {q}, need {n} (at position {pos})"
-        )
-
-
-_BUILDERS: dict[str, Callable[..., FiniteGroup]] = {
-    "cyclic": lambda n: cons.cyclic(n),
-    "elementary_abelian": lambda p, k: cons.elementary_abelian(p, k),
-    "dihedral": lambda n: cons.dihedral(n),
-    "quaternion8": lambda: cons.quaternion8(),
-    "symmetric": lambda n: cons.symmetric(n),
-    "alternating": lambda n: cons.alternating(n),
-    "extraspecial2": lambda a, v: cons.extraspecial2(int(a), v),
-    "heisenberg": lambda p, e: cons.heisenberg(gf(int(p), int(e))),
-    "frobenius": lambda q, n, r: cons.frobenius_cq_cn(q, n, r),
+# family -> (builder, domain check, argument types). The check is the
+# builder's own first step, so a spec that parses is in the builder's domain.
+_FAMILIES: dict[str, tuple[Callable[..., FiniteGroup], Callable[..., None], tuple[type, ...]]] = {
+    "cyclic": (cons.cyclic, cons._check_cyclic, (int,)),
+    "elementary_abelian": (
+        cons.elementary_abelian, cons._check_elementary_abelian, (int, int)
+    ),
+    "dihedral": (cons.dihedral, cons._check_dihedral, (int,)),
+    "quaternion8": (cons.quaternion8, lambda: None, ()),
+    "symmetric": (cons.symmetric, cons._check_degree, (int,)),
+    "alternating": (cons.alternating, cons._check_degree, (int,)),
+    "extraspecial2": (cons.extraspecial2, cons._check_extraspecial2, (int, str)),
+    "heisenberg": (lambda p, e: cons.heisenberg(gf(p, e)), cons._check_heisenberg, (int, int)),
+    "frobenius": (cons.frobenius_cq_cn, cons._check_frobenius, (int, int, int)),
 }
 
 
@@ -163,9 +77,25 @@ def _parse_part(text: str, pos: int) -> AtomicSpec:
         if not sep or not rest:
             raise SpecParseError(f"builtin spec needs a family name (at position {pos})")
         family, *args = rest.split(":")
-        if family not in _VALIDATORS:
+        if family not in _FAMILIES:
             raise UnknownFamily(f"unknown builtin family {family!r} (at position {pos})")
-        _VALIDATORS[family](tuple(args), pos)
+        _, check, types = _FAMILIES[family]
+        if len(args) != len(types):
+            raise SpecParseError(
+                f"{family} takes {len(types)} argument(s), got {len(args)} (at position {pos})"
+            )
+        values = []
+        for i, (convert, arg) in enumerate(zip(types, args)):
+            try:
+                values.append(convert(arg))
+            except ValueError:
+                raise SpecParseError(
+                    f"{family}: argument {i + 1} must be an integer (at position {pos})"
+                ) from None
+        try:
+            check(*values)
+        except (BadParameter, BadOrder) as exc:
+            raise SpecParseError(f"{exc} (at position {pos})") from None
         return AtomicSpec("builtin", family, tuple(args), None)
     if scheme in ("cayley", "perm"):
         if not sep or not rest:
@@ -186,10 +116,9 @@ def parse_spec(text: str) -> GroupSpec:
 
 def _build_part(part: AtomicSpec) -> FiniteGroup:
     if part.scheme == "builtin":
-        builder = _BUILDERS[part.family]
-        args = [int(a) if re.fullmatch(r"-?\d+", a) else a for a in part.args]
+        builder, _, types = _FAMILIES[part.family]
         try:
-            return builder(*args)
+            return builder(*(convert(arg) for convert, arg in zip(types, part.args)))
         except (BadParameter, BadOrder) as exc:
             raise SpecParseError(str(exc)) from exc
     if part.scheme == "cayley":

@@ -404,6 +404,25 @@ def formula_pair_checks(G, settings, cz):
     return out
 
 
+def formula_cyclic_table(n):
+    """Oracle for constructions.cyclic: (i + j) mod n in int64."""
+    return (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+
+
+def formula_elementary_abelian_table(p, k):
+    """Oracle for constructions.elementary_abelian: digit-wise addition base
+    p, one int64 n x n term per digit, as the table read before it was built
+    one leading digit at a time."""
+    n = p**k
+    idx = np.arange(n)
+    table = np.zeros((n, n), dtype=np.int64)
+    for i in range(k):
+        di = (idx[:, None] // p**i) % p
+        dj = (idx[None, :] // p**i) % p
+        table += ((di + dj) % p) * p**i
+    return table
+
+
 def formula_heisenberg_table(field):
     """Oracle for constructions.heisenberg: the table as it read before the
     digit-axis broadcast, by n x n gathers over the element digits in int64."""

@@ -10,19 +10,31 @@ import pytest
 
 from groupcent import (
     CheckSettings,
+    alternating,
     build_group,
     cent_count,
     checks,
+    cyclic,
+    dihedral,
+    elementary_abelian,
+    extraspecial2,
+    frobenius_cq_cn,
+    gf,
+    heisenberg,
     load_cayley,
     load_permutations,
     parse_spec,
+    quaternion8,
     renamed,
     run_suite,
     save_cayley,
+    specs,
     symmetric,
 )
 from groupcent.cli import _EXACT_FACTORIAL_MAX_N, build_analysis, main
 from groupcent.errors import (
+    BadOrder,
+    BadParameter,
     FormatError,
     InvariantViolation,
     NotAGroup,
@@ -65,6 +77,117 @@ class TestParseSpec:
     def test_wrong_arity(self):
         with pytest.raises(SpecParseError):
             parse_spec("builtin:heisenberg:3")
+
+
+# family -> (builder, argument tuples in and out of the builder's domain,
+# the first one in it)
+FAMILY_DOMAINS = {
+    "cyclic": (cyclic, [(1,), (5,), (0,), (-3,)]),
+    "elementary_abelian": (
+        elementary_abelian, [(2, 3), (3, 0), (5, 1), (6, 2), (1, 1), (2, -1), (-2, 2)]
+    ),
+    "dihedral": (dihedral, [(6,), (14,), (4,), (5,), (7,), (0,), (-6,)]),
+    "quaternion8": (quaternion8, [()]),
+    "symmetric": (symmetric, [(1,), (3,), (5,), (0,), (6,), (-1,)]),
+    "alternating": (alternating, [(1,), (4,), (5,), (0,), (6,)]),
+    "extraspecial2": (
+        extraspecial2,
+        [(1, "plus"), (2, "minus"), (0, "plus"), (5, "minus"), (2, "both"), (1, "Plus")],
+    ),
+    "heisenberg": (
+        lambda p, e: heisenberg(gf(p, e)),
+        [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (4, 1), (5, 2), (11, 1), (2, 0), (1, 1), (-2, 2)],
+    ),
+    "frobenius": (
+        frobenius_cq_cn,
+        [(7, 3, 2), (5, 4, 2), (7, 3, 9), (7, 3, -5), (7, 3, 3), (7, 3, 7), (7, 3, 0),
+         (9, 2, 8), (7, 1, 1), (7, 6, 2), (1, 2, 1)],
+    ),
+}
+
+
+class TestFamilyDomains:
+    """parse_spec rejects exactly the arguments that the builder rejects."""
+
+    def test_table_covers_every_family(self):
+        assert set(FAMILY_DOMAINS) == set(specs._FAMILIES)
+
+    @pytest.mark.parametrize(
+        "family,args",
+        [(f, a) for f, (_, tuples) in FAMILY_DOMAINS.items() for a in tuples],
+    )
+    def test_parse_rejects_what_the_builder_rejects(self, family, args):
+        builder = FAMILY_DOMAINS[family][0]
+        try:
+            built = builder(*args)
+        except (BadParameter, BadOrder) as exc:
+            built, message = None, str(exc)
+        text = ":".join(["builtin", family, *map(str, args)])
+        if built is None:
+            with pytest.raises(SpecParseError) as info:
+                parse_spec(text)
+            assert str(info.value).endswith(" (at position 0)")
+            # gf(p, e) may reject a field under its own message before the
+            # heisenberg builder runs its check; every other message is the builder's
+            if family != "heisenberg" or message.startswith("field order"):
+                assert str(info.value) == f"{message} (at position 0)"
+        else:
+            assert build_group(parse_spec(text)).table.tobytes() == built.table.tobytes()
+
+    def test_rejected_part_names_its_position(self):
+        with pytest.raises(SpecParseError, match=r"got 7 \(at position 19\)$"):
+            parse_spec("builtin:dihedral:6*builtin:dihedral:7")
+
+    # the first tuple of each family is in its domain; here as spec text
+    VALID = {f: tuple(map(str, tuples[0])) for f, (_, tuples) in FAMILY_DOMAINS.items()}
+
+    @pytest.mark.parametrize(
+        "family,wrong",
+        [(f, a + ("1",)) for f, a in VALID.items()] + [(f, a[:-1]) for f, a in VALID.items() if a],
+    )
+    def test_wrong_argument_count(self, family, wrong):
+        with pytest.raises(SpecParseError, match=rf"got {len(wrong)} \(at position 0\)"):
+            parse_spec(":".join(["builtin", family, *wrong]))
+
+    @pytest.mark.parametrize(
+        "family,i",
+        [(f, i) for f, args in VALID.items() for i, a in enumerate(args) if a.lstrip("-").isdigit()],
+    )
+    @pytest.mark.parametrize("junk", ["x", "", "2.0", "0x10"])
+    def test_non_integer_argument(self, family, i, junk):
+        args = list(self.VALID[family])
+        args[i] = junk
+        with pytest.raises(SpecParseError, match=rf"argument {i + 1} must be an integer"):
+            parse_spec(":".join(["builtin", family, *args]))
+
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("builtin:dihedral:+14", "D14"),
+            ("builtin:dihedral:1_4", "D14"),
+            ("builtin:cyclic: 5", "C5"),
+            ("builtin:dihedral: 6 ", "D6"),
+            ("builtin:dihedral: 5", None),
+            ("builtin:dihedral:+7", None),
+            ("builtin:elementary_abelian:+2:1_0", "C2^10"),
+        ],
+    )
+    def test_int_spellings_build_or_fail_at_parse(self, text, want):
+        # each argument goes through int() once, for the parse check and the
+        # build alike, so a spelling that parses never reaches a builder as text
+        if want is None:
+            with pytest.raises(SpecParseError, match="position"):
+                parse_spec(text)
+        else:
+            spec = parse_spec(text)
+            assert build_group(spec).name == want
+
+    def test_int_spellings_exit_cleanly(self, capsys):
+        assert main(["analyze", "builtin:dihedral:+14", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 14
+        assert main(["analyze", "builtin:dihedral: 5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: dihedral order") and "Traceback" not in err
 
 
 class TestCayleyFiles:
@@ -224,6 +347,52 @@ class TestVerifyCommand:
         assert main(["verify", "--catalog", str(cat), "--format", "json"]) == 3
         body = json.loads(capsys.readouterr().out)
         assert body["summary"]["error"] == 1 and body["summary"]["total"] == 29
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "D6", "spec": 5},
+            {"name": "D6", "spec": ["a"]},
+            {"name": "D6", "spec": None},
+            {"name": 6, "spec": "builtin:dihedral:6"},
+            {"name": "D6", "spec": "builtin:dihedral:6", "expected": [1]},
+            {"name": "D6", "spec": "builtin:dihedral:6", "expected": "cent_count"},
+        ],
+    )
+    def test_bad_catalog_entry_shape_exits_3(self, tmp_path, capsys, entry):
+        cat = tmp_path / "cat.json"
+        good = {"name": "D8", "spec": "builtin:dihedral:8"}
+        cat.write_text(json.dumps([good, entry]), encoding="utf-8")
+        assert main(["verify", "--catalog", str(cat)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: catalog entry 1") and err.count("\n") == 1
+
+    def test_null_expected_is_no_expectation(self, tmp_path, capsys):
+        cat = tmp_path / "cat.json"
+        cat.write_text(
+            json.dumps([{"name": "D6", "spec": "builtin:dihedral:6", "expected": None}]),
+            encoding="utf-8",
+        )
+        assert main(["verify", "--catalog", str(cat), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["total"] == 29
+
+    def test_bad_spec_entry_keeps_every_other_row(self, tmp_path, capsys):
+        cat = tmp_path / "cat.json"
+        cat.write_text(
+            json.dumps([
+                {"name": "D6", "spec": "builtin:dihedral:6"},
+                {"name": "odd", "spec": "builtin:dihedral:7"},
+                {"name": "signed", "spec": "builtin:dihedral:+14"},
+                {"name": "junk", "spec": "builtin:cyclic:1_4x"},
+            ]),
+            encoding="utf-8",
+        )
+        assert main(["verify", "--catalog", str(cat), "--format", "json"]) == 3
+        results = json.loads(capsys.readouterr().out)["results"]
+        groups = [r["group"] for r in results]
+        assert groups.count("D6") == 29 and groups.count("signed") == 29
+        errors = [(r["group"], r["check"]) for r in results if r["status"] == "error"]
+        assert errors == [("odd", "build"), ("junk", "build")]
 
     def test_malformed_catalog_file_exits_3(self, tmp_path, capsys):
         cat = tmp_path / "cat.json"

@@ -1,5 +1,7 @@
 """Family builders: orders, centers, defining properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,8 @@ from groupcent.errors import (
 
 from conftest import (
     brute_force_bad_triple,
+    formula_cyclic_table,
+    formula_elementary_abelian_table,
     formula_heisenberg_table,
     formula_semidirect_table,
     loop_element_orders,
@@ -92,6 +96,36 @@ class TestNamedFamilies:
     def test_elementary_abelian_needs_prime(self):
         with pytest.raises(BadParameter):
             elementary_abelian(6, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+    def test_cyclic_matches_reference_formula(self, n):
+        assert np.array_equal(cyclic(n).table, formula_cyclic_table(n))
+
+    @pytest.mark.parametrize(
+        "p,k", [(2, 0), (2, 1), (2, 7), (3, 1), (3, 4), (5, 2), (7, 2), (11, 1), (65521, 0)]
+    )
+    def test_elementary_abelian_matches_digit_formula(self, p, k):
+        assert np.array_equal(elementary_abelian(p, k).table, formula_elementary_abelian_table(p, k))
+
+    def test_abelian_builders_allocate_no_wider_table(self):
+        # cyclic and elementary_abelian write uint16 with no int64 n x n
+        # array, so their traced peak stays within that of dihedral, which
+        # builds its uint16 table in place; all three have order 4096
+        builds = {
+            "dihedral": lambda: dihedral(4096),
+            "cyclic": lambda: cyclic(4096),
+            "elementary_abelian": lambda: elementary_abelian(2, 12),
+        }
+        peak = {}
+        for name, build in builds.items():
+            tracemalloc.start()
+            try:
+                build()
+                peak[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak["cyclic"] <= peak["dihedral"], peak
+        assert peak["elementary_abelian"] <= peak["dihedral"], peak
 
 
 class TestSemidirect:

@@ -305,6 +305,15 @@ class TestCenterAndCentralizer:
         c = centralizer(g, i)
         assert c.order == 4 and i in c
 
+    def test_centralizer_orders_against_scan_oracle(self, family_pool):
+        # the one row sum of K, and the center and abelian verdict read off it
+        for g in family_pool:
+            t, n = g.table.tolist(), g.order
+            brute = [sum(t[x][y] == t[y][x] for y in range(n)) for x in range(n)]
+            assert core._centralizer_orders(g).tolist() == brute, g.name
+            assert core._center_elements(g).tolist() == [x for x in range(n) if brute[x] == n]
+            assert is_abelian(g) == (min(brute) == n)
+
     def test_center_is_intersection_of_centralizers(self):
         for g in (symmetric(4), quaternion8(), dihedral(12)):
             common = set(g.elements())
