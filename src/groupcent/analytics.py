@@ -24,6 +24,7 @@ from .core import (
     _center_elements,
     _centralizer_orders,
     _commuting_matrix,
+    _coset_labels,
     _derived_elements,
     _element_index,
     _generators,
@@ -54,10 +55,11 @@ class CentralizerProfile:
     proper ones. ``z_of`` maps every element x to Z(x), the center of C(x)
     (for central x that is just the center of the group).
 
-    A public view only: ``profile`` builds it on each call from the boolean
-    rows that the group's memo holds, and no predicate or check reads it.
-    The predicates read those rows directly; C(x) is abelian iff it equals
-    its own center Z(x), so the CA test compares two rows.
+    A public view only: ``profile`` builds it on each call, gathering each
+    centralizer's row of K at its representative, and no predicate or check
+    reads it. The predicates read the memoized record directly; Z(x) lies in
+    C(x), so C(x) is abelian iff the two have one size, and the CA test
+    compares sizes.
     """
 
     group: FiniteGroup
@@ -113,32 +115,39 @@ class PerfectQuotientReport:
 
 
 class _Centralizers(NamedTuple):
-    """The distinct centralizers as boolean rows: the proper ones in canonical
-    (size, elements) order, then G. ``index[x]`` is the row of C(x) and
-    ``z_rows[i]`` the center of row i; ``contains[i, j]`` says row i lies in
-    row j, ``z_contains[i, j]`` the same of their centers. ``abelian[i]``
-    says row i is abelian, that is, equal to its own center.
+    """The distinct centralizers: the proper ones in canonical (size,
+    elements) order, then G. ``index[x]`` is the row of C(x), and
+    ``reps[i]`` one element whose centralizer is row i, so row i is
+    ``K[reps[i]]``; the record keeps no copy of K. ``z_rows[i]`` is the
+    center of row i as a boolean row, ``contains[i, j]`` says row i lies in
+    row j, and ``abelian[i]`` says row i is abelian.
 
-    Both containments are read off the Z rows, with no matrix product:
-    row i lies in C(y) iff y lies in Z_i, so ``contains`` gathers the Z rows
-    at one element of each row, and ``z_contains`` tests each Z row as a
-    subset of every other."""
+    ``contains`` is read off the Z rows, with no matrix product: row i lies
+    in C(y) iff y lies in Z_i, so it gathers the Z rows at the
+    representatives. Z_i lies in row i, so row i is abelian iff the two have
+    one size. The containments of the Z rows are not kept: np1 and co1 test
+    Z(y) <= Z(x) at the pairs they check, independently of ``contains``."""
 
     index: np.ndarray
-    rows: np.ndarray
+    reps: np.ndarray
     z_rows: np.ndarray
     contains: np.ndarray
-    z_contains: np.ndarray
     abelian: np.ndarray
 
 
 @memoized
 def _centralizers(G: FiniteGroup) -> _Centralizers:
-    """The one centralizer representation every predicate and check reads.
+    """The one centralizer representation every predicate and check reads:
+    per distinct centralizer one representative, its Z row, its
+    containments and its abelian flag, with no copy of K (see
+    ``_Centralizers``).
 
     The distinct rows of K are found by one 1-D ``np.unique`` over the
     packed rows, each viewed as a single byte string; the canonical sort
-    after it fixes the row order.
+    after it fixes the row order. Row sizes are read from
+    ``_centralizer_orders`` at the representatives, so no row of K is
+    summed again, and the CA flags compare them with the Z row sizes.
+    np1 and co1 test Z(y) <= Z(x) on the Z rows at their own pairs.
 
     Raises AbelianGroupError for abelian input, where the only centralizer
     is the group itself, and InvariantViolation if the rows break the
@@ -156,26 +165,24 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     canon = sorted(range(first.size), key=lambda i: (len(elems[i]), elems[i]))
     index = np.argsort(canon)[inverse.reshape(-1)]
     reps = first[canon]
-    rows = k[reps]
     # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that is Z(x).
-    z_rows = np.array([k[r].all(axis=0) for r in rows])
+    z_rows = np.array([k[k[x]].all(axis=0) for x in reps])
 
-    n = rows.shape[0]
+    n = reps.size
     if n < 4:
         raise InvariantViolation(f"{G.name} reports n={n}; no group has 2 or 3 centralizers")
     zg = z_rows[-1]
-    sizes = rows[:-1].sum(axis=1)
-    if not (((zg.sum() < sizes) & (sizes < G.order)).all() and rows[:-1][:, zg].all()):
+    sizes = _centralizer_orders(G)[reps]
+    proper = sizes[:-1]
+    if not (((zg.sum() < proper) & (proper < G.order)).all() and k[np.ix_(reps[:-1], zg)].all()):
         raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
     if not z_rows.any(axis=0).all():
         raise InvariantViolation("the Z(x) together with the center do not cover the group")
 
-    abelian = (z_rows == rows).all(axis=1)
+    abelian = z_rows.sum(axis=1) == sizes
     # row i lies in C(y) iff y commutes with all of row i, that is, iff y lies in Z_i
     contains = z_rows[:, reps]
-    # a subset test of its own, so np1 compares two independent derivations
-    z_contains = np.array([z_rows[:, z].all(axis=1) for z in z_rows])
-    cz = _Centralizers(index, rows, z_rows, contains, z_contains, abelian)
+    cz = _Centralizers(index, reps, z_rows, contains, abelian)
     for a in cz:
         a.setflags(write=False)
     return cz
@@ -188,26 +195,25 @@ def central_quotient(G: FiniteGroup) -> QuotientResult:
 
 
 @memoized
-def _central_cosets(G: FiniteGroup) -> np.ndarray:
-    """Entry x is the label of the coset xZ(G), numbered as ``quotient``
-    numbers G/Z: by the rank of the least element of each coset."""
-    canon = G.table[:, _center_elements(G)].min(axis=1)
-    label = np.unique(canon, return_inverse=True)[1].astype(np.int32)
-    label.setflags(write=False)
-    return label
+def _central_cosets(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets of Z(G) as ``core._coset_labels`` numbers them: the least
+    element of each coset, and entry x the label of xZ(G)."""
+    return _coset_labels(G, _center_elements(G))
 
 
 def profile(G: FiniteGroup) -> CentralizerProfile:
     """Deduplicated proper centralizers, n = |Cent(G)|, and all Z(x).
 
-    Built afresh on each call from the memoized ``_centralizers`` rows.
+    Built afresh on each call from the memoized ``_centralizers`` record,
+    with the proper centralizers gathered from K at their representatives.
     Raises AbelianGroupError for abelian input, where the only centralizer
     is the group itself.
     """
     cz = _centralizers(G)
     zg = center(G)
-    m = cz.rows.shape[0] - 1
-    proper = tuple(Subgroup(G, tuple(np.flatnonzero(r).tolist())) for r in cz.rows[:m])
+    m = cz.reps.size - 1
+    rows = _commuting_matrix(G)[cz.reps[:m]]
+    proper = tuple(Subgroup(G, tuple(np.flatnonzero(r).tolist())) for r in rows)
     z_by_row = [Subgroup(G, tuple(np.flatnonzero(r).tolist())) for r in cz.z_rows[:m]] + [zg]
     index = cz.index.tolist()
     element_to_centralizer = {x: i for x, i in enumerate(index) if i < m}
@@ -217,14 +223,14 @@ def profile(G: FiniteGroup) -> CentralizerProfile:
 
 def cent_count(G: FiniteGroup) -> int:
     """|Cent(G)| for non-abelian G."""
-    return _centralizers(G).rows.shape[0]
+    return _centralizers(G).reps.size
 
 
 @memoized
 def is_F_group(G: FiniteGroup) -> bool:
     """No proper centralizer strictly contains another."""
     cz = _centralizers(G)
-    m = cz.rows.shape[0] - 1
+    m = cz.reps.size - 1
     # the rows are distinct, so containment off the diagonal is strict
     return bool(np.count_nonzero(cz.contains[:m, :m]) == m)
 
@@ -240,7 +246,7 @@ def is_CA_group(G: FiniteGroup) -> bool:
 
 
 def _proper_sizes(G: FiniteGroup) -> np.ndarray:
-    return _centralizers(G).rows[:-1].sum(axis=1)
+    return _centralizer_orders(G)[_centralizers(G).reps[:-1]]
 
 
 def is_I_group(G: FiniteGroup) -> bool:
@@ -269,8 +275,7 @@ def central_partition(G: FiniteGroup) -> PartitionReport:
     two verdicts are cross-validated from one source by different routes.
     """
     z_rows = _centralizers(G).z_rows[:-1]
-    label = _central_cosets(G)
-    reps = np.unique(label, return_index=True)[1]
+    reps, label = _central_cosets(G)
     # Z(x) contains Z(G), so it is the union of the cosets whose least element it holds
     images = z_rows.take(reps, axis=1)
     cols = np.nonzero(images)[1].tolist()
@@ -328,7 +333,7 @@ def _pth_powers_central(G: FiniteGroup, p: int) -> bool:
     xs = power = np.arange(G.order)
     for _ in range(p - 1):
         power = G.table[power, xs]
-    label = _central_cosets(G)
+    label = _central_cosets(G)[1]
     return bool((label[power] == label[G.identity]).all())
 
 
@@ -454,8 +459,7 @@ def _sandwich_chains(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
         # the labels are the identity map, so G/Z is G and the q x q table is K
         middle = upper
     else:
-        label = _central_cosets(G)
-        reps = np.unique(label, return_index=True)[1]
+        reps, label = _central_cosets(G)
         # xZ and yZ commute iff the labels of xy and yx agree
         lt = label[G.table[np.ix_(reps, reps)]]
         middle = (lt == lt.T).sum(axis=1)[label]

@@ -47,6 +47,7 @@ from .core import (
     FiniteGroup,
     _center_elements,
     _centralizer_orders,
+    _commuting_matrix,
     _derived_elements,
     is_abelian,
     is_nilpotent,
@@ -198,7 +199,7 @@ def _bound_report(G: FiniteGroup) -> BoundReport:
 
 def _quotient_is_elementary(G: FiniteGroup, p: int, k: int) -> bool:
     """Is G/Z isomorphic to C_p^k: of order p^k, abelian (G' <= Z) and of exponent p?"""
-    label = _central_cosets(G)
+    label = _central_cosets(G)[1]
     abelian = (label[_derived_elements(G)] == label[G.identity]).all()
     return bool(_quotient_order(G) == p**k and abelian and _pth_powers_central(G, p))
 
@@ -250,11 +251,17 @@ def _is_frobenius_prime_cyclic(G: FiniteGroup) -> bool:
 # the checks
 
 
+def _z_subset(z_rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Z_a[i] <= Z_b[i] for each i, tested on the Z rows themselves, so np1
+    compares it with ``contains`` as an independent derivation."""
+    return (z_rows[a] <= z_rows[b]).all(axis=1)
+
+
 def _check_np1(G, s):
     cz = _centralizers(G)
     pairs = _pairs(G, s, G.elements())
     cx, cy = cz.index[pairs[:, 0]], cz.index[pairs[:, 1]]
-    ok = cz.contains[cx, cy] == cz.z_contains[cy, cx]
+    ok = cz.contains[cx, cy] == _z_subset(cz.z_rows, cy, cx)
     return _pair_verdict(G, s, pairs, ok, ("x", "y"))
 
 
@@ -262,7 +269,7 @@ def _check_co1(G, s):
     cz = _centralizers(G)
     pairs = _pairs(G, s, G.elements())
     cx, cy = cz.index[pairs[:, 0]], cz.index[pairs[:, 1]]
-    ok = cz.z_rows[cx, pairs[:, 1]] == cz.z_contains[cy, cx]
+    ok = cz.z_rows[cx, pairs[:, 1]] == _z_subset(cz.z_rows, cy, cx)
     return _pair_verdict(G, s, pairs, ok, ("x", "y"))
 
 
@@ -478,7 +485,7 @@ def _check_bbu(G, s):
     if not cz.abelian[:-1].all():
         i = int(np.argmin(cz.abelian[:-1]))
         return FAIL, {"nonabelian_centralizer_order": int(_proper_sizes(G)[i])}
-    covers = bool(cz.rows[:-1].any(axis=0).all())
+    covers = bool(_commuting_matrix(G)[cz.reps[:-1]].any(axis=0).all())
     qz = _quotient_order(G)
     details = {
         "n": n,

@@ -21,9 +21,11 @@ from itertools import permutations
 import numpy as np
 
 from .core import (
+    TABLE_ORDER_CAP,
     FiniteGroup,
     Subgroup,
     _check_order,
+    _shown,
     center,
     direct_product,
     from_table,
@@ -67,16 +69,21 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def _check_elementary_abelian(p: int, k: int) -> None:
+    # p and k meet the cap before the primality test and the power: a table
+    # holds no C_p with p above it, and p^k passes it once k passes 16
+    _check_order(p)
     if not is_prime(p):
         raise BadParameter(f"{p} is not prime")
     if k < 0:
         raise BadParameter("exponent must be >= 0")
+    if k > TABLE_ORDER_CAP.bit_length():
+        raise TooLarge(f"order {p}^{_shown(k)} exceeds {TABLE_ORDER_CAP}")
+    _check_order(p**k)
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """Direct power C_p^k, with digit-wise addition base p."""
     _check_elementary_abelian(p, k)
-    _check_order(p**k)
     # C_p^(j+1) from C_p^j by a new leading digit, in uint16 and in place:
     # no entry exceeds p^k - 1
     table = np.zeros((1, 1), dtype=np.uint16)
@@ -236,6 +243,9 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
 
 
 def _check_frobenius(q: int, n: int, r: int) -> None:
+    # the kernel C_q meets the cap before the primality test and the order of
+    # r, which take up to sqrt(q) and q steps
+    _check_order(q)
     if not is_prime(q):
         raise BadParameter(f"kernel order {q} must be prime")
     if n < 2:
@@ -332,8 +342,10 @@ def extraspecial2(a: int, variant: str) -> FiniteGroup:
 
 def _check_heisenberg(p: int, e: int) -> None:
     """The field GF(p^e) of ``heisenberg``, checked before it is built."""
-    # the membership test first: a huge p fails it without a trial division
-    if e < 1 or p**e not in HEISENBERG_FIELD_ORDERS or not is_prime(p):
+    # the membership test first: a huge p fails it without a trial division;
+    # before it, e meets the cap's bit length, so p**e stays small
+    in_range = 1 <= e <= TABLE_ORDER_CAP.bit_length()
+    if not in_range or p**e not in HEISENBERG_FIELD_ORDERS or not is_prime(p):
         raise BadParameter(
             f"field order {p}^{e} not supported; need a prime p and q = p^e "
             f"with q^3 <= 1024 (q in {HEISENBERG_FIELD_ORDERS})"

@@ -35,12 +35,18 @@ ISOMORPHISM_ORDER_CAP = 512
 TABLE_ORDER_CAP = int(np.iinfo(np.uint16).max)
 
 
+def _shown(v: int) -> str:
+    """v in decimal, or a power of two below it when v is too long to print."""
+    return str(v) if v.bit_length() <= 64 else f"2^{v.bit_length() - 1} or more"
+
+
 def _check_order(n: int) -> int:
     """n, unless a group of order n would not fit a uint16 table: then
     TooLarge. Every builder calls it before it allocates its n x n array."""
     if n > TABLE_ORDER_CAP:
         raise TooLarge(
-            f"order {n} exceeds {TABLE_ORDER_CAP}: its uint16 table would take {2 * n * n} bytes"
+            f"order {_shown(n)} exceeds {TABLE_ORDER_CAP}: "
+            f"its uint16 table would take {_shown(2 * n * n)} bytes"
         )
     return n
 
@@ -430,21 +436,26 @@ def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return all(member[conjugate_elements(G, elems, g)].all() for g in _generators(G))
 
 
+def _coset_labels(G: FiniteGroup, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cosets xH of the subgroup H with elements ``elems``: their least
+    elements in increasing order, and entry x the uint16 label of xH, the
+    rank of its least element. The one numbering of the cosets of H; both
+    arrays are read-only."""
+    reps, label = np.unique(G.table[:, elems].min(axis=1), return_inverse=True)
+    label = label.reshape(-1).astype(np.uint16)
+    for a in (reps, label):
+        a.setflags(write=False)
+    return reps, label
+
+
 def quotient(G: FiniteGroup, N: Subgroup) -> QuotientResult:
     """Coset group G/N with its projection map; requires N normal."""
     elems = _require_subgroup(G, N)
     if not is_normal(G, N):
         raise NotNormal(f"{N.elements} is not normal in {G.name}")
-    # canonical coset label = least element of xN
-    canon = G.table[:, elems].min(axis=1)
-    reps = np.unique(canon)
-    # every canon value is a rep; the fill is out of range for from_table
-    qindex = np.full(G.order, TABLE_ORDER_CAP, dtype=np.uint16)
-    qindex[reps] = np.arange(reps.size, dtype=np.uint16)
-    qtable = qindex[canon[G.table[np.ix_(reps, reps)]]]
-    q = from_table(qtable, name=f"{G.name}/N{N.order}")
-    projection = tuple(int(v) for v in qindex[canon])
-    return QuotientResult(q, projection, N)
+    reps, label = _coset_labels(G, elems)
+    q = from_table(label[G.table[np.ix_(reps, reps)]], name=f"{G.name}/N{N.order}")
+    return QuotientResult(q, tuple(label.tolist()), N)
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
@@ -486,18 +497,8 @@ def exponent(G: FiniteGroup) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Trial division up to sqrt(n)."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -282,7 +282,8 @@ def unique_rows_centralizers(G):
     # G is the one row of size |G|, so it sorts last
     canon = sorted(range(first.size), key=lambda i: (len(elems[i]), elems[i]))
     index = np.argsort(canon)[inverse.reshape(-1)]
-    rows = k[first[canon]]
+    reps = first[canon]
+    rows = k[reps]
     # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that is Z(x).
     z_rows = np.array([k[r].all(axis=0) for r in rows])
 
@@ -297,9 +298,7 @@ def unique_rows_centralizers(G):
         raise InvariantViolation("the Z(x) together with the center do not cover the group")
 
     abelian = (z_rows == rows).all(axis=1)
-    return analytics._Centralizers(
-        index, rows, z_rows, _containment(rows), _containment(z_rows), abelian
-    )
+    return analytics._Centralizers(index, reps, z_rows, _containment(rows), abelian)
 
 
 def loop_centralizers(G):
@@ -371,14 +370,16 @@ def formula_pair_checks(G, settings, cz):
     """Oracle for the np1, co1 and zclass1 checks over the centralizer arrays
     cz, real or planted: their array formulas as they read before the numpy
     pair build, on the pairs of loop_pairs, with g b g^-1 gathered once per
-    pair. The verdict names the first failing pair."""
+    pair, and the Z(y) <= Z(x) side read from a matrix product over the Z
+    rows. The verdict names the first failing pair."""
     t, inv, index = G.table, G.inverses, cz.index
+    z_contains = _containment(cz.z_rows)
 
     def np1(x, y):
-        return cz.contains[index[x], index[y]] == cz.z_contains[index[y], index[x]]
+        return cz.contains[index[x], index[y]] == z_contains[index[y], index[x]]
 
     def co1(x, y):
-        return cz.z_rows[index[x], y] == cz.z_contains[index[y], index[x]]
+        return cz.z_rows[index[x], y] == z_contains[index[y], index[x]]
 
     def zclass1(x, g):
         pull = t[t[g], inv[g][:, None]]
@@ -746,7 +747,7 @@ def loop_check_bbu(G, s):
     for c in prof.proper_centralizers:
         if not loop_commute_pairwise(G, c.elements):
             return FAIL, {"nonabelian_centralizer_order": c.order}
-    covers = bool(analytics._centralizers(G).rows[:-1].any(axis=0).all())
+    covers = set().union(*(c.elements for c in prof.proper_centralizers)) == set(G.elements())
     qz = _quotient_order(G)
     details = {
         "n": n,

@@ -45,7 +45,7 @@ from groupcent import (
     center,
     prime_power,
 )
-from groupcent import analytics, checks
+from groupcent import analytics, checks, core
 from groupcent.analytics import _perfect_central_quotient
 from groupcent.checks import _quotient_is_elementary
 from groupcent.errors import (
@@ -58,8 +58,8 @@ from groupcent.errors import (
 )
 
 from conftest import (
-    _containment,
     assert_centralizers_match_loops,
+    formula_pair_checks,
     quotient_central_partition,
     quotient_has_exponent,
     quotient_is_elementary,
@@ -233,18 +233,32 @@ class TestCentralizerRows:
         [lambda: dihedral(8), lambda: symmetric(4), lambda: dihedral(12)],
         ids=["D8", "S4", "D12"],
     )
-    def test_z_containment_is_its_own_subset_test(self, monkeypatch, build):
+    def test_z_containment_is_its_own_subset_test(self, build):
         # K with one bit flipped in one direction only still passes the count,
-        # sandwich and covering checks. contains is read at the row elements
-        # and z_contains by a subset test, so they disagree and np1 fails; a
-        # z_contains taken as the transpose of contains would let np1 pass.
+        # sandwich and covering checks. contains is read at the row
+        # representatives and np1 tests Z(y) <= Z(x) on the Z rows, so they
+        # disagree and np1 fails; a subset side read off contains would let
+        # np1 pass. The bit goes into the group's memo entry for K, so the
+        # centralizer orders are summed from the same planted K.
         k = analytics._commuting_matrix(build()).copy()
         k[1, 0] = ~k[1, 0]
-        monkeypatch.setattr(analytics, "_commuting_matrix", lambda G: k)
         g = build()
+        g._memo[core._commuting_matrix.__wrapped__] = k
         cz = analytics._centralizers(g)
-        assert np.array_equal(cz.z_contains, _containment(cz.z_rows))
-        assert run_check("np1", g).status == checks.FAIL
+        assert analytics._centralizer_orders(g)[1] == k[1].sum()
+        got = run_check("np1", g)
+        assert got.status == checks.FAIL
+        assert (got.status, dict(got.details)) == formula_pair_checks(g, CheckSettings(), cz)["np1"]
+
+    def test_record_keeps_no_copy_of_k(self):
+        # one Z row per centralizer, one contains bit per pair of rows, and a
+        # few words per element and per row: no row of K and no containment
+        # matrix of the Z rows
+        g = dihedral(1030)
+        cz = analytics._centralizers(g)
+        m, n = cz.reps.size, g.order
+        assert m == 517
+        assert sum(a.nbytes for a in cz) <= m * n + m * m + 16 * (n + m)
 
 
 class TestCosetLabels:
@@ -261,7 +275,9 @@ class TestCosetLabels:
                 for g in groups if g.order <= 128 and not is_abelian(g)
             ]
         for g in groups:
-            assert analytics._central_cosets(g).tolist() == list(central_quotient(g).projection)
+            reps, label = analytics._central_cosets(g)
+            assert label.tolist() == list(central_quotient(g).projection)
+            assert reps.tolist() == [label.tolist().index(c) for c in range(reps.size)]
             for p in (2, 3, 5):
                 assert analytics._pth_powers_central(g, p) == quotient_has_exponent(g, p), g.name
                 for k in (2, 4):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,30 @@ class TestFamilyDomains:
         assert main(["analyze", "builtin:dihedral: 5"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: dihedral order") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("builtin:cyclic:" + "9" * 3000, "order 2^9965 or more exceeds 65535: its uint16 table "
+             "would take 2^19932 or more bytes"),
+            ("builtin:dihedral:" + "9" * 3000 + "8", "order 2^9969 or more exceeds 65535"),
+            ("builtin:elementary_abelian:3:1000000", "order 3^1000000 exceeds 65535"),
+            ("builtin:elementary_abelian:3:100000000", "order 3^100000000 exceeds 65535"),
+            ("builtin:heisenberg:3:100000000", "field order 3^100000000 not supported"),
+            # 2^61 - 1 is prime: no trial division, even for a group of order 1
+            ("builtin:elementary_abelian:2305843009213693951:0", "order 2305843009213693951 exceeds"),
+            ("builtin:frobenius:2305843009213693951:2:3", "order 2305843009213693951 exceeds"),
+        ],
+        ids=["cyclic", "dihedral", "ea_1e6", "ea_1e8", "heisenberg", "ea_prime", "frobenius"],
+    )
+    def test_argument_past_the_cap_exits_3_at_once(self, capsys, spec, message):
+        # compared with the table cap before a power, a primality test or
+        # the order of a unit, and never printed whole when too long to print
+        start = time.perf_counter()
+        assert main(["analyze", spec]) == 3
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestCayleyFiles:

@@ -239,6 +239,13 @@ class TestOrderCap:
     def test_largest_order_passes_the_check(self):
         assert core._check_order(core.TABLE_ORDER_CAP) == 65535
 
+    def test_order_too_long_to_print_is_named_by_a_power_of_two(self):
+        # str() of an int above 4300 digits raises ValueError
+        with pytest.raises(TooLarge) as info:
+            core._check_order(10**5000)
+        want = "order 2^16609 or more exceeds 65535: its uint16 table would take 2^33220 or more bytes"
+        assert str(info.value) == want
+
 
 class TestGeneratingSet:
     def test_matches_element_closure_oracle(self, oracle_pool):

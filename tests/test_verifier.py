@@ -22,6 +22,7 @@ from groupcent import (
     cyclic,
     default_catalog,
     dihedral,
+    direct_product,
     elementary_abelian,
     extraspecial2,
     frobenius_cq_cn,
@@ -295,7 +296,7 @@ class TestCentralizerRows:
         # are its C3s, 10-14 its V4s (not of prime order) and 15-20 its C5s
         g = alternating(5)
         real = analytics._centralizers(g)
-        assert real.rows[[0, 10, 15, 20]].sum(axis=1).tolist() == [3, 4, 5, 5]
+        assert analytics._proper_sizes(g)[[0, 10, 15, 20]].tolist() == [3, 4, 5, 5]
         contains = real.contains.copy()
         for i, j in ((10, 0), (16, 2), (15, 20)):
             assert not contains[i, j]
@@ -308,11 +309,19 @@ class TestCentralizerRows:
         assert got.details == {"prime_centralizer": 15, "containing_centralizer": 20}
 
     @pytest.mark.parametrize(
-        "field,i,j", [("contains", 2, 7), ("z_contains", 5, 3), ("z_rows", 3, 5)]
+        "field,i,j,readers",
+        [
+            ("contains", 2, 7, {"np1"}),
+            # Z_4 gains 7 and stops lying in two other Z rows, which co1 reads too
+            ("z_rows", 4, 7, {"np1", "co1", "zclass1"}),
+            # Z_3 gains 5, whose Z(5) then lies in it: co1 stays consistent
+            ("z_rows", 3, 5, {"np1", "zclass1"}),
+        ],
+        ids=["contains-2-7", "z_rows-4-7", "z_rows-3-5"],
     )
-    def test_planted_bit_matches_formula_witnesses(self, monkeypatch, field, i, j):
+    def test_planted_bit_matches_formula_witnesses(self, monkeypatch, field, i, j, readers):
         # no group fails np1, co1 or zclass1, so flip one bit of a relabelled
-        # S4's rows; the first failing pair, in pair order, is the witness.
+        # S4's arrays; the first failing pair, in pair order, is the witness.
         # The two sampled settings differ only in the seed, and the planted
         # contains and z_rows bits are first hit at different pairs under
         # them, so a memo that ignored the seed would return a stale witness.
@@ -322,7 +331,6 @@ class TestCentralizerRows:
         planted[i, j] ^= True
         fake = real._replace(**{field: planted})
         monkeypatch.setattr(checks, "_centralizers", lambda G: fake)
-        readers = {"contains": {"np1"}, "z_contains": {"np1", "co1"}, "z_rows": {"co1", "zclass1"}}
         sampled = (CheckSettings(exhaustive_cap=0), CheckSettings(exhaustive_cap=0, seed=1))
         for s in (CheckSettings(), *sampled):
             want = formula_pair_checks(g, s, fake)
@@ -330,7 +338,7 @@ class TestCentralizerRows:
                 got = run_check(cid, g, s)
                 assert (got.status, dict(got.details)) == expected, (cid, s)
             if s.exhaustive_cap:
-                assert {cid for cid, (status, _) in want.items() if status == "fail"} == readers[field]
+                assert {cid for cid, (status, _) in want.items() if status == "fail"} == readers
 
     def test_planted_abelian_rows(self, monkeypatch):
         # no group is a counterexample to za1 or bbu, so plant abelian flags:
@@ -346,15 +354,17 @@ class TestCentralizerRows:
             fake = cz._replace(abelian=abelian)
             for module in (analytics, checks):
                 monkeypatch.setattr(module, "_centralizers", lambda G: fake)
-            return cz.rows.shape[0] - 1
+            return cz.reps.size - 1
 
         g = extraspecial2(3, "plus")
         last = plant(g, [-2], True)
         assert not analytics.nonabelian_centralizer_check(g)
-        assert run_check("za1", g).details == {"abelian_centralizer": last - 1, "order": 64}
+        r = run_check("za1", g)
+        assert (r.status, r.details) == ("fail", {"abelian_centralizer": last - 1, "order": 64})
         g = extraspecial2(3, "plus")
         plant(g, [5, -2], True)
-        assert run_check("za1", g).details == {"abelian_centralizer": 5, "order": 64}
+        r = run_check("za1", g)
+        assert (r.status, r.details) == ("fail", {"abelian_centralizer": 5, "order": 64})
         g = extraspecial2(3, "plus")
         plant(g, slice(0, -2), True)
         assert not is_CA_group(g)
@@ -362,6 +372,34 @@ class TestCentralizerRows:
         plant(g, [3], False)
         r = run_check("bbu", g)
         assert (r.status, r.details) == ("fail", {"nonabelian_centralizer_order": 16})
+
+
+class TestPlantedFailures:
+    """No catalog group fails these checks, so each case plants a wrong value
+    in the checks namespace on a freshly built group (run_check memoizes its
+    result on the group) and asserts the exact verdict."""
+
+    @pytest.mark.parametrize(
+        "cid,build,name,value,want",
+        [
+            # Heis(3) has n = 5 and uniform type (3, 1); index 4 = 2^2 and 2 does not divide 3
+            ("np2", lambda: heisenberg(gf(3)), "conjugate_type",
+             ConjugateTypeReport(True, 4, 2, 2), ("fail", {"n": 5, "m": 4, "p": 2})),
+            ("np2", lambda: heisenberg(gf(3)), "conjugate_type", ConjugateTypeReport(True, 6),
+             ("fail", {"m": 6, "reason": "uniform index is not a prime power"})),
+            # S3 x S3 has n = 25 and |G/Z| = 36: gcd(23, 36) = 1, and 2 * 23 > 36
+            ("1np", lambda: direct_product(symmetric(3), symmetric(3)), "is_F_group", True,
+             ("fail", {"n": 25, "quotient_order": 36, "gcd": 1})),
+            ("xx", lambda: direct_product(symmetric(3), symmetric(3)), "is_F_group", True,
+             ("fail", {"n": 25, "quotient_order": 36, "squared": 529})),
+        ],
+        ids=["np2-not-dividing", "np2-not-prime-power", "1np", "xx"],
+    )
+    def test_planted_value_fails_with_its_witness(self, monkeypatch, cid, build, name, value, want):
+        g = build()
+        monkeypatch.setattr(checks, name, lambda G: value)
+        got = run_check(cid, g)
+        assert (got.status, dict(got.details)) == want
 
 
 class TestRecognition:
