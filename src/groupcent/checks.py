@@ -58,6 +58,7 @@ from .core import (
     renamed,
 )
 from .errors import (
+    BadParameter,
     GroupTheoryError,
     InvariantViolation,
     PreconditionNotMet,
@@ -679,23 +680,29 @@ def _expected_result(entry: CatalogEntry, G: FiniteGroup) -> CheckResult:
     return CheckResult("expected", entry.name, PASS, {"attributes": sorted(entry.expected or ())})
 
 
-def _entry_results(entry: CatalogEntry, settings: CheckSettings) -> list[CheckResult]:
+def _isolated(check_id: str, group_name: str, run: Callable[[], CheckResult]) -> CheckResult:
+    """run(), or an error row in its place when it raises GroupTheoryError."""
+    try:
+        return run()
+    except GroupTheoryError as exc:
+        return CheckResult(check_id, group_name, ERROR, {"reason": str(exc)})
+
+
+def _check_rows(G: FiniteGroup, settings: CheckSettings | None) -> list[CheckResult]:
+    """Every registered check on G, in registry order, each isolated: the one
+    runner of ``analyze`` and the suite."""
+    return [_isolated(cid, G.name, lambda cid=cid: run_check(cid, G, settings)) for cid in REGISTRY]
+
+
+def _entry_results(entry: CatalogEntry, settings: CheckSettings | None) -> list[CheckResult]:
     try:
         G = entry.build()
     except (GroupTheoryError, OSError) as exc:
         return [CheckResult("build", entry.name, ERROR, {"reason": str(exc)})]
-
-    def isolated(check_id: str, run: Callable[[], CheckResult]) -> CheckResult:
-        try:
-            return run()
-        except GroupTheoryError as exc:
-            return CheckResult(check_id, entry.name, ERROR, {"reason": str(exc)})
-
     results = []
     if entry.expected is not None:
-        results.append(isolated("expected", lambda: _expected_result(entry, G)))
-    results.extend(isolated(cid, lambda cid=cid: run_check(cid, G, settings)) for cid in REGISTRY)
-    return results
+        results.append(_isolated("expected", entry.name, lambda: _expected_result(entry, G)))
+    return results + _check_rows(G, settings)
 
 
 def run_suite(
@@ -708,14 +715,13 @@ def run_suite(
     order (catalog major, registry minor); entries with expected attributes
     get one extra validation row first. A builder failure becomes one error
     row for its entry, and a check that raises becomes an error row in its
-    own place, without disturbing the rest."""
+    own place, without disturbing the rest. The entries run on ``jobs``
+    worker threads; BadParameter when jobs < 1."""
+    if jobs < 1:
+        raise BadParameter(f"jobs must be >= 1, got {jobs}")
     entries = list(default_catalog() if catalog is None else catalog)
-    settings = settings or CheckSettings()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda e: _entry_results(e, settings), entries))
-    else:
-        chunks = [_entry_results(e, settings) for e in entries]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        chunks = list(pool.map(lambda e: _entry_results(e, settings), entries))
     results = tuple(r for chunk in chunks for r in chunk)
     summary = {"total": len(results), PASS: 0, FAIL: 0, SKIP: 0, INDETERMINATE: 0, ERROR: 0}
     for r in results:

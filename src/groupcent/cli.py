@@ -1,7 +1,8 @@
 """Command-line front end: analyze one group, run the check suite, search,
 and export Cayley files.
 
-Exit codes: 0 success, 1 check failures, 2 usage errors, 3 input errors.
+Exit codes: 0 success, 1 check failures, 2 usage errors, 3 input errors
+(and checks that raised).
 Reports go to stdout, diagnostics to stderr.
 """
 
@@ -124,9 +125,7 @@ def build_analysis(G: FiniteGroup, settings: CheckSettings | None = None) -> dic
             ),
             "satisfied": dict(rep.satisfied),
         }
-    body["checks"] = [
-        checks.run_check(cid, G, settings).as_dict() for cid in checks.check_ids()
-    ]
+    body["checks"] = [r.as_dict() for r in checks._check_rows(G, settings)]
     return body
 
 
@@ -161,7 +160,7 @@ def _render_analysis_text(body: dict) -> str:
     lines.append("checks:")
     for c in body["checks"]:
         note = ""
-        if c["status"] == "skip":
+        if c["status"] in ("skip", "error"):
             note = f"  ({c['details'].get('reason', '')})"
         elif c["status"] == "fail":
             note = f"  {c['details']}"
@@ -226,9 +225,9 @@ def _load_catalog_file(path: str) -> list[CatalogEntry]:
 def cmd_analyze(args) -> int:
     G = build_group(args.spec)
     settings = CheckSettings(seed=args.seed)
-    report = Report("analysis", args.format, build_analysis(G, settings))
-    sys.stdout.write(report.render())
-    return 0
+    body = build_analysis(G, settings)
+    sys.stdout.write(Report("analysis", args.format, body).render())
+    return INPUT_ERROR if any(c["status"] == checks.ERROR for c in body["checks"]) else 0
 
 
 def cmd_verify(args) -> int:
@@ -272,6 +271,13 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: its choices,
@@ -294,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the check suite over a catalog")
     p.add_argument("--catalog", default="default", help="'default' or a JSON catalog file")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for the suite")
+    p.add_argument("--jobs", type=_jobs, default=1, help="worker threads for the suite, at least 1")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

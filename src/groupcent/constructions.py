@@ -16,7 +16,6 @@ builtin part, so a bad argument is rejected before anything is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -148,11 +147,6 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def _parity(p: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
-
-
 def _tabulate_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
     """Table of a sorted list of permutations closed under composition.
 
@@ -175,16 +169,21 @@ def _check_degree(n: int) -> None:
         raise BadParameter(f"symmetric and alternating groups supported for degree 1..5, got {n}")
 
 
+def _cycle(n: int, i: int, k: int) -> list[int]:
+    """The k-cycle (i i+1 ... i+k-1) as a permutation of 0..n-1."""
+    return [*range(i), *range(i + 1, i + k), i, *range(i + k, n)]
+
+
 def symmetric(n: int) -> FiniteGroup:
+    """S_n, the closure of the transpositions (i i+1)."""
     _check_degree(n)
-    perms = sorted(permutations(range(n)))
-    return _tabulate_permutations(perms, name=f"S{n}")
+    return from_permutations(n, [_cycle(n, i, 2) for i in range(n - 1)], name=f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
+    """A_n, the closure of the 3-cycles (i i+1 i+2)."""
     _check_degree(n)
-    perms = sorted(p for p in permutations(range(n)) if _parity(p) == 0)
-    return _tabulate_permutations(perms, name=f"A{n}")
+    return from_permutations(n, [_cycle(n, i, 3) for i in range(n - 2)], name=f"A{n}")
 
 
 def _unit_order(r: int, q: int) -> int:

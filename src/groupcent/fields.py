@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import is_prime
-from .errors import BadParameter, InvariantViolation, NotIrreducible
+from .core import TABLE_ORDER_CAP, _check_order, _shown, is_prime
+from .errors import BadParameter, InvariantViolation, NotIrreducible, TooLarge
 
 # Irreducible moduli (ascending-degree coefficients, monic) for every prime
 # power <= 16; larger fields need a user-supplied modulus.
@@ -47,21 +47,9 @@ def _poly_mod(a: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
     return [c % p for c in a[:deg_m]]
 
 
-def _poly_eval(poly: tuple[int, ...], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Has the monic modulus no monic factor of degree 1..e/2 over GF(p)?"""
     e = len(modulus) - 1
-    if e == 1:
-        return True
-    if e <= 3:
-        # a reducible quadratic or cubic must have a linear factor
-        return all(_poly_eval(modulus, x, p) for x in range(p))
-    # general case: no monic factor of degree <= e/2
     for deg in range(1, e // 2 + 1):
         for tail in range(p**deg):
             cand = tuple((tail // p**i) % p for i in range(deg)) + (1,)
@@ -158,12 +146,21 @@ class FiniteField:
 def gf(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteField:
     """Field of order p^e; built-in modulus for p^e <= 16, else user-supplied.
 
-    Raises NotIrreducible when a supplied modulus factors over GF(p).
+    Raises NotIrreducible when a supplied modulus factors over GF(p), and
+    TooLarge when p^e exceeds TABLE_ORDER_CAP, as no group table over the
+    field fits under it.
     """
+    # p meets the cap before the primality test, which takes up to sqrt(p)
+    # steps, and e meets its bit length before the power, as in
+    # constructions._check_elementary_abelian
+    _check_order(p)
     if not is_prime(p):
         raise BadParameter(f"{p} is not prime")
     if e < 1:
         raise BadParameter("field degree must be >= 1")
+    if e > TABLE_ORDER_CAP.bit_length():
+        raise TooLarge(f"field order {p}^{_shown(e)} exceeds {TABLE_ORDER_CAP}")
+    _check_order(p**e)
     if modulus is None:
         if e == 1:
             modulus = (0, 1)

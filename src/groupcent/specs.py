@@ -23,15 +23,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import constructions as cons
-from .core import FiniteGroup, direct_product, from_table, renamed
+from .core import FiniteGroup, direct_product, from_table
 from .errors import (
     BadOrder,
     BadParameter,
     FormatError,
     SpecParseError,
+    TooLarge,
     UnknownFamily,
 )
 from .fields import gf
@@ -69,6 +70,10 @@ _FAMILIES: dict[str, tuple[Callable[..., FiniteGroup], Callable[..., None], tupl
 }
 
 
+# the literals int() accepts in base 10
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _parse_part(text: str, pos: int) -> AtomicSpec:
     if not text:
         raise SpecParseError(f"empty spec part at position {pos}")
@@ -89,6 +94,12 @@ def _parse_part(text: str, pos: int) -> AtomicSpec:
             try:
                 values.append(convert(arg))
             except ValueError:
+                if _INT_LITERAL.fullmatch(arg):
+                    # well formed, so refused for its length alone: past int()'s digit limit
+                    raise TooLarge(
+                        f"{family}: argument {i + 1} is too large: "
+                        f"{sum(map(str.isdecimal, arg))} digits (at position {pos})"
+                    ) from None
                 raise SpecParseError(
                     f"{family}: argument {i + 1} must be an integer (at position {pos})"
                 ) from None
@@ -141,49 +152,61 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
 # file formats
 
 _NAME_RE = re.compile(r"#\s*name:\s*(.+?)\s*$")
+# \d and isdecimal() take exactly the digits that int() reads
+_HEADER_RE = re.compile(r"degree (\d+) generators (\d+)")
+
+
+class _GroupFile:
+    """The data lines of a Cayley or permutation file, read one at a time as
+    (line number, fields). Blank lines and '#' comments are skipped, and the
+    last "# name: <text>" comment, wherever it stands, names the group (else
+    the file's stem), so ``name`` is final once every line is read."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.name = self.path.stem
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        with open(self.path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if stripped.startswith("#"):
+                    m = _NAME_RE.match(stripped)
+                    if m:
+                        self.name = m.group(1)
+                elif stripped:
+                    yield lineno, stripped.split()
 
 
 def load_cayley(path) -> FiniteGroup:
     """Read a Cayley-table file: order on the first data line, then that many
     rows of 0-based indices."""
-    path = Path(path)
-    name = path.stem
-    order = None
-    rows: list[list[int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                m = _NAME_RE.match(stripped)
-                if m:
-                    name = m.group(1)
-                continue
-            fields = stripped.split()
-            if order is None:
-                if len(fields) != 1 or not fields[0].isdigit():
-                    raise FormatError(f"line {lineno}: expected the group order")
-                order = int(fields[0])
-                if order < 1:
-                    raise FormatError(f"line {lineno}: order must be >= 1")
-                continue
-            if len(rows) >= order:
-                raise FormatError(f"line {lineno}: more than {order} table rows")
-            try:
-                row = [int(f) for f in fields]
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer table entry") from None
-            if len(row) != order:
-                raise FormatError(f"line {lineno}: expected {order} entries, got {len(row)}")
-            if any(v < 0 or v >= order for v in row):
-                raise FormatError(f"line {lineno}: index out of range [0, {order})")
-            rows.append(row)
-    if order is None:
+    file = _GroupFile(path)
+    lines = iter(file)
+    lineno, fields = next(lines, (None, None))
+    if fields is None:
         raise FormatError("file contains no data lines")
+    if len(fields) != 1 or not fields[0].isdecimal():
+        raise FormatError(f"line {lineno}: expected the group order")
+    order = int(fields[0])
+    if order < 1:
+        raise FormatError(f"line {lineno}: order must be >= 1")
+    rows: list[list[int]] = []
+    for lineno, fields in lines:
+        if len(rows) >= order:
+            raise FormatError(f"line {lineno}: more than {order} table rows")
+        try:
+            row = [int(f) for f in fields]
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer table entry") from None
+        if len(row) != order:
+            raise FormatError(f"line {lineno}: expected {order} entries, got {len(row)}")
+        if any(v < 0 or v >= order for v in row):
+            raise FormatError(f"line {lineno}: index out of range [0, {order})")
+        rows.append(row)
     if len(rows) != order:
         raise FormatError(f"expected {order} table rows, got {len(rows)}")
-    return from_table(rows, name=name)
+    return from_table(rows, name=file.name)
 
 
 def save_cayley(G: FiniteGroup, path) -> None:
@@ -197,46 +220,28 @@ def save_cayley(G: FiniteGroup, path) -> None:
 
 def load_permutations(path) -> FiniteGroup:
     """Read a generator file: "degree d generators g", then g image lines."""
-    path = Path(path)
-    name = path.stem
-    header = None
-    gens: list[list[int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                m = _NAME_RE.match(stripped) if stripped else None
-                if m:
-                    name = m.group(1)
-                continue
-            fields = stripped.split()
-            if header is None:
-                if (
-                    len(fields) != 4
-                    or fields[0] != "degree"
-                    or fields[2] != "generators"
-                    or not fields[1].isdigit()
-                    or not fields[3].isdigit()
-                ):
-                    raise FormatError(
-                        f"line {lineno}: expected header 'degree <d> generators <g>'"
-                    )
-                header = (int(fields[1]), int(fields[3]))
-                continue
-            degree, count = header
-            if len(gens) >= count:
-                raise FormatError(f"line {lineno}: more than {count} generator lines")
-            try:
-                images = [int(f) for f in fields]
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer image") from None
-            if len(images) != degree:
-                raise FormatError(f"line {lineno}: expected {degree} images, got {len(images)}")
-            if sorted(images) != list(range(degree)):
-                raise FormatError(f"line {lineno}: images are not a permutation of 0..{degree - 1}")
-            gens.append(images)
-    if header is None:
+    file = _GroupFile(path)
+    lines = iter(file)
+    lineno, fields = next(lines, (None, None))
+    if fields is None:
         raise FormatError("file contains no header line")
-    if len(gens) != header[1]:
-        raise FormatError(f"expected {header[1]} generator lines, got {len(gens)}")
-    return renamed(cons.from_permutations(header[0], gens), name)
+    m = _HEADER_RE.fullmatch(" ".join(fields))
+    if not m:
+        raise FormatError(f"line {lineno}: expected header 'degree <d> generators <g>'")
+    degree, count = int(m[1]), int(m[2])
+    gens: list[list[int]] = []
+    for lineno, fields in lines:
+        if len(gens) >= count:
+            raise FormatError(f"line {lineno}: more than {count} generator lines")
+        try:
+            images = [int(f) for f in fields]
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer image") from None
+        if len(images) != degree:
+            raise FormatError(f"line {lineno}: expected {degree} images, got {len(images)}")
+        if sorted(images) != list(range(degree)):
+            raise FormatError(f"line {lineno}: images are not a permutation of 0..{degree - 1}")
+        gens.append(images)
+    if len(gens) != count:
+        raise FormatError(f"expected {count} generator lines, got {len(gens)}")
+    return cons.from_permutations(degree, gens, file.name)

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable
 
 import numpy as np
@@ -261,6 +261,17 @@ def loop_tabulate_permutations(perms):
     result up in a dict."""
     index = {p: i for i, p in enumerate(perms)}
     return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
+
+
+def enumerated_permutations(n, even_only=False):
+    """Oracle for the element lists of symmetric and alternating: every
+    permutation of 0..n-1 from itertools, sorted, keeping only those with an
+    even number of inversions when even_only is set."""
+
+    def parity(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2
+
+    return sorted(p for p in permutations(range(n)) if not (even_only and parity(p)))
 
 
 def _containment(rows: np.ndarray) -> np.ndarray:

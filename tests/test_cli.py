@@ -215,6 +215,20 @@ class TestFamilyDomains:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    def test_argument_past_the_digit_limit_is_too_large(self, capsys, digits):
+        # int() refuses such a literal for its length alone, so it is named
+        # too large, not malformed
+        assert main(["analyze", "builtin:cyclic:" + "9" * digits]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: cyclic: argument 1 is too large: {digits} digits (at position 0)\n"
+
+    @pytest.mark.parametrize("junk", ["9" * 5000 + "x", "9" * 5000 + "_", "0x" + "f" * 5000])
+    def test_long_malformed_argument_is_not_an_integer(self, junk):
+        with pytest.raises(SpecParseError, match="argument 1 must be an integer"):
+            parse_spec("builtin:cyclic:" + junk)
+
+
 class TestCayleyFiles:
     def test_trivial_file(self, tmp_path):
         f = tmp_path / "one.cayley"
@@ -254,6 +268,20 @@ class TestCayleyFiles:
         assert load_cayley(f).name == "tiny"
 
 
+    def test_name_comment_after_the_data(self, tmp_path):
+        f = tmp_path / "late.cayley"
+        f.write_text("# name: early\n1\n0\n# name: late\n", encoding="utf-8")
+        assert load_cayley(f).name == "late"
+
+    @pytest.mark.parametrize("order", ["\u00b2", "\u2075"])
+    def test_order_int_cannot_read_is_a_format_error(self, tmp_path, order):
+        # superscript digits pass str.isdigit() but not int()
+        f = tmp_path / "sup.cayley"
+        f.write_text(f"{order}\n0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 1: expected the group order"):
+            load_cayley(f)
+
+
 class TestPermutationFiles:
     def test_a5_file(self, tmp_path):
         f = tmp_path / "a5.perm"
@@ -277,6 +305,27 @@ class TestPermutationFiles:
         f = tmp_path / "bad.perm"
         f.write_text("3 1\n0 1 2\n", encoding="utf-8")
         with pytest.raises(FormatError, match="header"):
+            load_permutations(f)
+
+
+    def test_name_comment_after_the_data(self, tmp_path):
+        f = tmp_path / "late.perm"
+        f.write_text("degree 3 generators 1\n1 2 0\n# name: C3 late\n", encoding="utf-8")
+        g = load_permutations(f)
+        assert (g.name, g.order) == ("C3 late", 3)
+
+    def test_unnamed_file_takes_its_stem(self, tmp_path):
+        f = tmp_path / "stem.perm"
+        f.write_text("# a comment\n\ndegree 3 generators 1\n1 2 0\n", encoding="utf-8")
+        assert load_permutations(f).name == "stem"
+
+    @pytest.mark.parametrize(
+        "header", ["degree \u00b3 generators 1", "degree 3 generators", "degree 3 gens 1"]
+    )
+    def test_header_int_cannot_read_is_a_format_error(self, tmp_path, header):
+        f = tmp_path / "bad.perm"
+        f.write_text(f"{header}\n1 2 0\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 1: expected header"):
             load_permutations(f)
 
 
@@ -329,6 +378,33 @@ class TestAnalyzeCommand:
         main(["analyze", "builtin:alternating:4"])
         out = capsys.readouterr().out
         assert "cent count:   6" in out
+
+
+    @staticmethod
+    def boom(*args):
+        raise InvariantViolation("patched to raise")
+
+    def test_raising_check_keeps_every_other_row(self, capsys, monkeypatch):
+        assert main(["analyze", "builtin:dihedral:6", "--format", "json"]) == 0
+        clean = json.loads(capsys.readouterr().out)
+        monkeypatch.setitem(checks.REGISTRY, "bbc", (self.boom, "patched"))
+        assert main(["analyze", "builtin:dihedral:6", "--format", "json"]) == 3
+        body = json.loads(capsys.readouterr().out)
+        assert list(body) == list(clean)
+        assert [c["check"] for c in body["checks"]] == list(checks.check_ids())
+        error = {"check": "bbc", "group": "D6", "status": "error",
+                 "details": {"reason": "patched to raise"}}
+        assert body["checks"] == [error if c["check"] == "bbc" else c for c in clean["checks"]]
+        assert {k: v for k, v in body.items() if k != "checks"} == {
+            k: v for k, v in clean.items() if k != "checks"
+        }
+
+    def test_raising_check_text_names_its_reason(self, capsys, monkeypatch):
+        monkeypatch.setitem(checks.REGISTRY, "tom11", (self.boom, "patched"))
+        assert main(["analyze", "builtin:dihedral:6"]) == 3
+        out = capsys.readouterr().out
+        assert "  error         tom11  (patched to raise)\n" in out
+        assert sum(line.startswith("  pass ") for line in out.splitlines()) > 0
 
 
 class TestVerifyCommand:
@@ -418,6 +494,17 @@ class TestVerifyCommand:
         assert groups.count("D6") == 29 and groups.count("signed") == 29
         errors = [(r["group"], r["check"]) for r in results if r["status"] == "error"]
         assert errors == [("odd", "build"), ("junk", "build")]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "-5"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        assert main(["verify", "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --jobs: must be at least 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_run_suite_refuses_jobs_below_one(self, jobs):
+        with pytest.raises(BadParameter, match="jobs must be >= 1"):
+            run_suite([], jobs=jobs)
 
     def test_malformed_catalog_file_exits_3(self, tmp_path, capsys):
         cat = tmp_path / "cat.json"

@@ -42,6 +42,7 @@ from groupcent.errors import (
 
 from conftest import (
     brute_force_bad_triple,
+    enumerated_permutations,
     formula_cyclic_table,
     formula_elementary_abelian_table,
     formula_heisenberg_table,
@@ -347,6 +348,14 @@ class TestFromPermutations:
         for perms, g in tabulated:
             assert perms == sorted(perms)
             assert np.array_equal(g.table, loop_tabulate_permutations(perms)), g.name
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_symmetric_and_alternating_match_enumeration(self, n):
+        # both are closures of adjacent cycles; the oracle lists every
+        # permutation and filters by parity
+        for g, even_only in ((symmetric(n), False), (alternating(n), True)):
+            want = loop_tabulate_permutations(enumerated_permutations(n, even_only))
+            assert np.array_equal(g.table, want), g.name
 
     def test_closure_cap(self):
         import groupcent.constructions as cons

@@ -1,9 +1,13 @@
 """GF(p^e) arithmetic and modulus validation."""
 
+import time
+from itertools import product
+
 import pytest
 
 from groupcent import gf
-from groupcent.errors import BadParameter, NotIrreducible
+from groupcent.errors import BadParameter, NotIrreducible, TooLarge
+from groupcent.fields import _irreducible
 
 
 def test_gf4_multiplication_by_hand():
@@ -72,3 +76,37 @@ def test_bad_parameters():
 def test_inverse_of_zero_rejected():
     with pytest.raises(BadParameter):
         gf(3).inv(0)
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the degree over GF(p), ascending coefficients."""
+    return [tail + (1,) for tail in product(range(p), repeat=degree)]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,top", [(2, 4), (3, 4), (5, 2)])
+def test_irreducible_matches_product_enumeration(p, top):
+    # a monic polynomial of degree e is reducible iff it is the product of two
+    # monic polynomials of degrees d and e - d for some 1 <= d < e
+    for e in range(1, top + 1):
+        reducible = {
+            _times(a, b, p) for d in range(1, e) for a in _monic(p, d) for b in _monic(p, e - d)
+        }
+        for f in _monic(p, e):
+            assert _irreducible(f, p) == (f not in reducible), (p, f)
+
+
+@pytest.mark.parametrize("args", [(2305843009213693951,), (2, 17), (3, 10**30), (65537, 1)])
+def test_field_past_the_table_cap_is_too_large_at_once(args):
+    # compared with the cap before the primality test and the power
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        gf(*args)
+    assert time.perf_counter() - start < 1

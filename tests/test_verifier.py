@@ -402,6 +402,70 @@ class TestPlantedFailures:
         assert (got.status, dict(got.details)) == want
 
 
+class TestPlantedBoundFailures:
+    """No catalog group breaks a bound, so each case plants the centralizer
+    count n and |G/Z| that the checks read from their own namespace, on a
+    freshly built group (run_check and the bound report are memoized on the
+    group), and asserts the exact verdict."""
+
+    D8 = staticmethod(lambda: dihedral(8))  # F-group, nilpotent: n = 4, |G/Z| = 4
+    HEIS3 = staticmethod(lambda: heisenberg(gf(3)))  # semi-extraspecial: n = 5, |G/Z| = 9
+
+    @pytest.mark.parametrize(
+        "cid,build,n,qz,want",
+        [
+            # S3: n = 5 <= 11, bound (n-2)^2 = 9
+            ("tom11", lambda: symmetric(3), None, 10,
+             ("fail", {"n": 5, "quotient_order": 10, "bound": 9})),
+            # (n-1)! = 24 for S3
+            ("bbc", lambda: symmetric(3), None, 24, ("fail", {"n": 5, "quotient_order": 24})),
+            # n = 12: 2 (n-4)^log2(n-4) = 2 * 8^3 = 1024, exactly
+            ("sb1", lambda: symmetric(3), 12, 1025, ("fail", {"n": 12, "quotient_order": 1025})),
+            ("1sb", lambda: symmetric(3), 12, 1025,
+             ("fail", {"n": 12, "quotient_order": 1025, "bound_general": 1024})),
+            # S4 is not an F-group, so bc1b reads the general bound
+            ("bc1b", lambda: symmetric(4), 12, 1025,
+             ("fail", {"n": 12, "quotient_order": 1025, "bound_general": 1024})),
+            ("np22", D8, None, 6,
+             ("fail", {"quotient_order": 6, "reason": "central quotient order is not a prime power"})),
+            ("np22", D8, 5, None, ("fail", {"n": 5, "p": 2, "k": 2})),
+            ("bc1a", D8, None, 5, ("fail", {"n": 4, "quotient_order": 5, "bound": 4})),
+            # every Z(x)/Z of D8 has order 2, and 2^2 < 9: equality under the
+            # small-Z(x) hypothesis
+            ("bc1a", D8, 5, 9,
+             ("fail", {"n": 5, "quotient_order": 9, "bound": 9, "strict_hypothesis": True})),
+            ("semi", HEIS3, None, 10, ("fail", {"n": 5, "p": 3, "quotient_order": 10})),
+            ("semi", HEIS3, 6, None, ("fail", {"n": 6, "p": 3, "quotient_order": 9})),
+        ],
+        ids=["tom11", "bbc", "sb1", "1sb", "bc1b", "np22-not-prime-power", "np22-not-dividing",
+             "bc1a-bound", "bc1a-strict", "semi-bound", "semi-not-dividing"],
+    )
+    def test_planted_bound_fails_with_its_witness(self, monkeypatch, cid, build, n, qz, want):
+        g = build()
+        if n is not None:
+            monkeypatch.setattr(checks, "cent_count", lambda G: n)
+        if qz is not None:
+            monkeypatch.setattr(checks, "_quotient_order", lambda G: qz)
+        got = run_check(cid, g)
+        assert (got.status, dict(got.details)) == want
+
+    @pytest.mark.parametrize(
+        "cid,module,want",
+        [
+            ("sb1", checks, {"n": 12, "quotient_order": 1025}),
+            # the bound report reaches the comparison only above (n-2)^2
+            ("1sb", analytics, {"n": 12, "quotient_order": 1025, "bound_general": 1024}),
+        ],
+    )
+    def test_guard_band_verdict_is_indeterminate(self, monkeypatch, cid, module, want):
+        g = symmetric(3)
+        monkeypatch.setattr(checks, "cent_count", lambda G: 12)
+        monkeypatch.setattr(checks, "_quotient_order", lambda G: 1025)
+        monkeypatch.setattr(module, "exp_bound_holds", lambda q_order, n: None)
+        got = run_check(cid, g)
+        assert (got.status, dict(got.details)) == ("indeterminate", want)
+
+
 class TestRecognition:
     def test_known_family_matches_isomorphism_route(self, catalog_groups, family_pool):
         found = set()
