@@ -26,6 +26,7 @@ from .core import (
     _commuting_matrix,
     _coset_labels,
     _derived_elements,
+    _distinct,
     _element_index,
     _generators,
     _is_closed,
@@ -251,12 +252,12 @@ def _proper_sizes(G: FiniteGroup) -> np.ndarray:
 
 def is_I_group(G: FiniteGroup) -> bool:
     """All proper centralizers share one order."""
-    return np.unique(_proper_sizes(G)).size == 1
+    return _distinct(_proper_sizes(G)).size == 1
 
 
 @memoized
 def conjugate_type(G: FiniteGroup) -> ConjugateTypeReport:
-    indices = np.unique(G.order // _proper_sizes(G))
+    indices = _distinct(G.order // _proper_sizes(G))
     if indices.size != 1:
         return ConjugateTypeReport(is_uniform=False)
     m = int(indices[0])
@@ -293,7 +294,7 @@ def central_partition(G: FiniteGroup) -> PartitionReport:
     hit = scan.any(axis=0)  # the identity coset lies in every component
     scan[:, label[G.identity]] = False
     owner, coset = np.nonzero(scan)
-    repeat = np.setdiff1d(np.arange(coset.size), np.unique(coset, return_index=True)[1])
+    repeat = np.setdiff1d(np.arange(coset.size), np.unique(coset, return_index=True)[1], assume_unique=True)
     witness = None
     if repeat.size:
         j = repeat[0]
@@ -495,7 +496,7 @@ def perfect_quotient_check(G: FiniteGroup) -> PerfectQuotientReport:
     if not _perfect_central_quotient(G):
         raise NotPerfectQuotient(f"central quotient of {G.name} is not perfect")
     d = derived_subgroup(G)
-    covered = np.unique(G.table[np.ix_(_derived_elements(G), _center_elements(G))]).size
+    covered = _distinct(G.table[np.ix_(_derived_elements(G), _center_elements(G))]).size
     if covered != G.order:
         raise InvariantViolation(f"G'Z covers only {covered} of {G.order} elements")
     n_g = cent_count(G)

@@ -49,6 +49,7 @@ from .core import (
     _centralizer_orders,
     _commuting_matrix,
     _derived_elements,
+    _distinct,
     is_abelian,
     is_nilpotent,
     is_prime,
@@ -276,7 +277,7 @@ def _check_co1(G, s):
 
 def _check_npcor1(G, s):
     cz, sizes = _centralizers(G), _proper_sizes(G)
-    prime = np.isin(sizes, list(filter(is_prime, np.unique(sizes).tolist())))
+    prime = np.isin(sizes, list(filter(is_prime, _distinct(sizes).tolist())))
     # prime-order rows i inside another proper row j; the first hit in row-major order
     hits = cz.contains[:-1, :-1] & prime[:, None] & ~np.eye(sizes.size, dtype=bool)
     if hits.any():
@@ -298,12 +299,22 @@ def _check_zclass1(G, s):
     pairs = _pairs(G, s, np.flatnonzero(~cz.z_rows[-1]).tolist())
     x, g = pairs[:, 0], pairs[:, 1]
     t, inv = G.table, G.inverses
-    # pull[i, b] = g b g^-1 for the pair's g: b lies in g^-1 Z(x) g iff pull[i, b] lies in Z(x).
-    # It depends on g alone, so each distinct g is conjugated once.
-    ug, gi = np.unique(g, return_inverse=True)
-    pull = t[t[ug], inv[ug][:, None]].take(gi, axis=0)
-    conj_x = t[t[inv[g], x], g]
-    ok = (cz.z_rows[cz.index[x][:, None], pull] == cz.z_rows[cz.index[conj_x]]).all(axis=1)
+    rx, rc = cz.index[x], cz.index[t[t[inv[g], x], g]]
+    # Conjugation is a bijection, so g^-1 Z(x) g = Z(x^g) iff the two have one
+    # size and g^-1 z g lies in Z(x^g) for each member z of Z(x): only the
+    # members are conjugated, one segment of them per pair. No segment is
+    # empty, as every Z row holds the identity.
+    flat = np.flatnonzero(cz.z_rows)
+    members = flat % G.order  # of every Z row, row-major
+    sizes = np.bincount(flat // G.order, minlength=len(cz.z_rows))
+    starts = sizes.cumsum() - sizes
+    lens = sizes[rx]
+    seg = lens.cumsum() - lens
+    # entry k of a pair's segment is member k of its Z(x)
+    z = members[np.repeat(starts[rx] - seg, lens) + np.arange(lens.sum())]
+    gz = g.repeat(lens)
+    inside = cz.z_rows[rc.repeat(lens), t[t[inv[gz], z], gz]]
+    ok = (lens == sizes[rc]) & np.logical_and.reduceat(inside, seg)
     return _pair_verdict(G, s, pairs, ok, ("x", "g"))
 
 
@@ -621,6 +632,11 @@ REGISTRY: dict[str, tuple[Callable, str]] = {
     "tom11": (_check_tom11, "n <= 11: |G/Z| <= (n-2)^2"),
 }
 
+#: the checks that read their CheckSettings: the pair checks, which sample
+#: pairs by the seed above the exhaustive cap. run_check keys only these
+#: by the settings.
+SAMPLED_CHECKS = frozenset({"np1", "co1", "zclass1"})
+
 
 def check_ids() -> tuple[str, ...]:
     return tuple(REGISTRY)
@@ -631,11 +647,12 @@ def run_check(check_id: str, G: FiniteGroup, settings: CheckSettings | None = No
 
     The result is memoized in G's own memo, keyed by the check function
     ``REGISTRY[check_id][0]`` (so a check patched into the registry runs
-    afresh) within a sampling key. Only the pair checks read the settings,
-    and at order <= ``exhaustive_cap`` they read nothing but that bound, so
-    the sampling key is None there and the whole settings object above it.
-    G holds the results of one sampling key: a new key replaces them, so a
-    loop over seeds keeps at most one result per check. Exceptions are not
+    afresh) with a sampling key. Only the ``SAMPLED_CHECKS`` read the
+    settings, and at order <= ``exhaustive_cap`` they read nothing but that
+    bound, so their sampling key is None there and the whole settings object
+    above it; every other check's key is None. G holds one result per check:
+    a new key replaces it, so a loop over seeds reruns only the sampled
+    checks and keeps at most one result per check. Exceptions are not
     cached. A memoized result is shared by every caller, so its ``details``
     must not be mutated; ``as_dict()`` returns a copy of the top level.
     """
@@ -647,17 +664,17 @@ def run_check(check_id: str, G: FiniteGroup, settings: CheckSettings | None = No
             check_id, G.name, SKIP, {"reason": "abelian group; centralizer structure is trivial"}
         )
     fn = REGISTRY[check_id][0]
-    sampling = None if G.order <= settings.exhaustive_cap else settings
-    # This thread files its result in the pair it read or made, so a
-    # replacement by another thread cannot put it under the wrong key.
-    held = G._memo.get(run_check)
-    if held is None or held[0] != sampling:
-        held = G._memo[run_check] = (sampling, {})
-    results = held[1]
-    if fn in results:
-        return results[fn]
+    sampling = settings if check_id in SAMPLED_CHECKS and G.order > settings.exhaustive_cap else None
+    # check function -> (sampling key, result); each thread files its result
+    # with the key it ran under, so no result sits under another thread's key
+    results = G._memo.setdefault(run_check, {})
+    held = results.get(fn)
+    if held is not None and held[0] == sampling:
+        return held[1]
     status, details = fn(G, settings)
-    return results.setdefault(fn, CheckResult(check_id, G.name, status, details))
+    result = CheckResult(check_id, G.name, status, details)
+    results[fn] = (sampling, result)
+    return result
 
 
 def _expected_result(entry: CatalogEntry, G: FiniteGroup) -> CheckResult:

@@ -51,6 +51,14 @@ def _check_order(n: int) -> int:
     return n
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of a, as ``np.unique(a)`` returns them. A
+    plain ``np.unique`` call in numpy 2 probes ``np.ma.is_masked``, which
+    imports all of ``numpy.ma`` on first use; asking for the counts takes
+    the sorting path, which does not."""
+    return np.unique(a, return_counts=True)[0]
+
+
 class FiniteGroup:
     """A finite group on elements 0..order-1 with a dense product table.
 
@@ -616,7 +624,7 @@ def isomorphic(A: FiniteGroup, B: FiniteGroup, cap: int = ISOMORPHISM_ORDER_CAP)
                     count += 1
                 elif m[a2] != b2:
                     return None
-        if np.unique(m[m >= 0]).size != count:
+        if _distinct(m[m >= 0]).size != count:
             return None
         return m
 

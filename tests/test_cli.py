@@ -595,3 +595,32 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "cent count:   5" in proc.stdout
+
+
+class TestImportCost:
+    def test_analyze_and_verify_add_no_numpy_ma_import(self):
+        # In numpy 2 a plain np.unique call imports numpy.ma the first time
+        # it runs; numpy 1 imports numpy.ma with numpy itself. So the two
+        # commands must leave it as importing numpy left it.
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import numpy",
+            "before = 'numpy.ma' in sys.modules",
+            "from groupcent import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['analyze', 'builtin:dihedral:512', '--format', 'json']) == 0",
+            "    assert cli.main(['verify', '--format', 'json']) == 0",
+            "print(numpy.__version__, before, 'numpy.ma' in sys.modules)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=Path(__file__).resolve().parents[1],
+            check=True,
+        )
+        version, before, after = proc.stdout.split()
+        assert after == before
+        if int(version.split(".")[0]) >= 2:
+            assert after == "False"

@@ -1,5 +1,6 @@
 """Check registry, suite mechanics, catalog, and search."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -41,7 +42,7 @@ from groupcent import (
 )
 from groupcent.analytics import ConjugateTypeReport
 from groupcent.cli import build_analysis
-from groupcent.checks import _known_family, _pair_verdict, _quotient_is_elementary, check_ids
+from groupcent.checks import DEFAULT_SEED, _known_family, _pair_verdict, _quotient_is_elementary, check_ids
 from groupcent.errors import InvariantViolation, UnknownCheckId
 
 from conftest import (
@@ -152,8 +153,9 @@ class TestRunCheck:
 
 
 class TestCheckMemo:
-    """run_check keeps its results in the group's own memo, under one
-    sampling key at a time."""
+    """run_check keeps its results in the group's own memo, one per check
+    under one sampling key; only the sampled checks are keyed by the
+    settings."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -172,6 +174,12 @@ class TestCheckMemo:
     def run_all(g, settings):
         return [run_check(cid, g, settings) for cid in check_ids()]
 
+    @staticmethod
+    def runs(sampled, other):
+        """The call counts when each sampled check ran `sampled` times and
+        every other check `other` times."""
+        return Counter({cid: sampled if cid in checks.SAMPLED_CHECKS else other for cid in check_ids()})
+
     def test_small_group_runs_each_check_once_across_seeds(self, calls):
         g = symmetric(4)
         rows = [self.run_all(g, CheckSettings(seed=seed)) for seed in (1, 2, 3)]
@@ -184,28 +192,32 @@ class TestCheckMemo:
         assert g.order > CheckSettings().exhaustive_cap
         for seed in (1, 1, 2, 2, 1):
             self.run_all(g, CheckSettings(seed=seed))
-        assert calls == Counter(dict.fromkeys(check_ids(), 3))
+        assert calls == self.runs(3, 1)
 
     def test_sampled_group_holds_one_seed(self, calls):
         g = heisenberg(gf(3, 2))
         for seed in range(50):
             self.run_all(g, CheckSettings(seed=seed))
-        sampling, results = g._memo[run_check]
-        assert sampling == CheckSettings(seed=49)
-        assert len(results) <= len(checks.REGISTRY)
-        assert sum(calls.values()) == 50 * len(checks.REGISTRY)
+        results = g._memo[run_check]
+        assert len(results) == len(checks.REGISTRY)
+        keys = {fn: sampling for fn, (sampling, _) in results.items()}
+        assert keys == {
+            fn: CheckSettings(seed=49) if cid in checks.SAMPLED_CHECKS else None
+            for cid, (fn, _) in checks.REGISTRY.items()
+        }
+        assert calls == self.runs(50, 1)
 
     def test_exhaustive_cap_is_part_of_the_key(self, calls):
         g = symmetric(4)
         default = self.run_all(g, CheckSettings())
         sampled = self.run_all(g, CheckSettings(exhaustive_cap=0))
         assert self.run_all(g, CheckSettings(exhaustive_cap=0)) == sampled
-        assert calls == Counter(dict.fromkeys(check_ids(), 2))
+        assert calls == self.runs(2, 1)
         modes = [r.details.get("mode") for r in (default[0], sampled[0])]
         assert modes == ["exhaustive", "sampled"]
         self.run_all(g, CheckSettings(exhaustive_cap=0, seed=1))
         self.run_all(g, CheckSettings(exhaustive_cap=0, sample_pairs=10, seed=1))
-        assert calls == Counter(dict.fromkeys(check_ids(), 4))
+        assert calls == self.runs(4, 1)
 
     def test_exceptions_are_not_cached(self, monkeypatch):
         failures = iter([InvariantViolation("first call fails")])
@@ -224,19 +236,20 @@ class TestCheckMemo:
     def test_threads_alternating_seeds_get_their_own_results(self, monkeypatch):
         # each result names the seed it was computed under, so a result filed
         # under another thread's key would show up as a wrong seed; the check
-        # yields the interpreter as a numpy kernel would
+        # yields the interpreter as a numpy kernel would. It stands in for a
+        # sampled check, as only those are keyed by the seed.
         def echo(G, s):
             time.sleep(0)
             return "pass", {"seed": s.seed}
 
-        monkeypatch.setitem(checks.REGISTRY, "bbc", (echo, "patched"))
+        monkeypatch.setitem(checks.REGISTRY, "np1", (echo, "patched"))
         g = symmetric(4)
         wrong = []
 
         def worker(k):
             for i in range(300):
                 seed = (i + k) % 3
-                got = run_check("bbc", g, CheckSettings(exhaustive_cap=0, seed=seed))
+                got = run_check("np1", g, CheckSettings(exhaustive_cap=0, seed=seed))
                 if got.details["seed"] != seed:
                     wrong.append((seed, got.details["seed"]))
 
@@ -252,8 +265,37 @@ class TestCheckMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        sampling, results = g._memo[run_check]
-        assert sampling.exhaustive_cap == 0 and len(results) == 1
+        ((sampling, _),) = g._memo[run_check].values()
+        assert sampling.exhaustive_cap == 0
+
+    def test_new_seed_reruns_only_the_sampled_checks(self, calls):
+        g = dihedral(128)
+        assert g.order > CheckSettings().exhaustive_cap
+        first = self.run_all(g, CheckSettings(seed=1))
+        assert calls == self.runs(1, 1)
+        second = self.run_all(g, CheckSettings(seed=2))
+        assert calls == self.runs(2, 1)
+        assert second == first
+        assert all((a is b) == (a.check_id not in checks.SAMPLED_CHECKS) for a, b in zip(first, second))
+
+    def test_unsampled_checks_read_no_settings(self, catalog_groups):
+        # a check outside SAMPLED_CHECKS is memoized under the key None, so it
+        # must give one result whatever the settings: two settings that differ
+        # in every field agree, and so does settings that refuse to be read
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"read settings.{name}")
+
+        a = CheckSettings()
+        b = CheckSettings(exhaustive_cap=0, sample_pairs=7, seed=a.seed + 1)
+        groups = [g for g in catalog_groups.values() if not is_abelian(g)]
+        groups += [dihedral(128), heisenberg(gf(3, 2))]
+        unsampled = [(cid, fn) for cid, (fn, _) in checks.REGISTRY.items()
+                     if cid not in checks.SAMPLED_CHECKS]
+        assert len(unsampled) == len(checks.REGISTRY) - 3
+        for g in groups:
+            for cid, fn in unsampled:
+                assert fn(g, a) == fn(g, b) == fn(g, Unreadable()), (cid, g.name)
 
     def test_shared_result_is_not_exposed_through_as_dict(self):
         g = symmetric(4)
@@ -339,6 +381,49 @@ class TestCentralizerRows:
                 assert (got.status, dict(got.details)) == expected, (cid, s)
             if s.exhaustive_cap:
                 assert {cid for cid, (status, _) in want.items() if status == "fail"} == readers
+
+    @pytest.mark.parametrize(
+        "i,j,same_size,image_inside",
+        [
+            # a reflection row of D128 gains an element: at the first failing
+            # pair it is Z(x^g), so only the size test tells them apart
+            (1, 3, False, True),
+            (1, 40, False, True),
+            # the rotation row gains or loses an element, and conjugation keeps
+            # rotations there: one size, so only the image test catches it
+            (32, 0, True, False),
+            (32, 17, True, False),
+        ],
+        ids=["size-1-3", "size-1-40", "image-32-0", "image-32-17"],
+    )
+    def test_planted_z_row_matches_the_pull_formula_when_sampled(
+        self, monkeypatch, i, j, same_size, image_inside
+    ):
+        # zclass1 compares |Z(x)| with |Z(x^g)| and conjugates the members of
+        # Z(x) only; the pull formula compares the whole rows. Each plant is
+        # first caught, under each of three seeds, by the test the case names.
+        g = relabel_group(dihedral(128), random.Random(7).sample(range(128), 128))
+        real = analytics._centralizers(g)
+        assert real.reps.size == 34 and real.z_rows[32].sum() == 64
+        planted = real.z_rows.copy()
+        planted[i, j] ^= True
+        fake = real._replace(z_rows=planted)
+        monkeypatch.setattr(checks, "_centralizers", lambda G: fake)
+        t, inv = g.table, g.inverses
+
+        def members(x):
+            return set(np.flatnonzero(planted[real.index[x]]).tolist())
+
+        for seed in (DEFAULT_SEED, 1, 2):
+            s = CheckSettings(seed=seed)
+            want = formula_pair_checks(g, s, fake)["zclass1"]
+            got = run_check("zclass1", g, s)
+            assert (got.status, dict(got.details)) == want, seed
+            assert got.status == "fail"
+            x, c = got.details["x"], got.details["g"]
+            zx, zc = members(x), members(int(t[t[inv[c], x], c]))
+            image = {int(t[t[inv[c], z], c]) for z in zx}
+            assert (len(zx) == len(zc), image <= zc) == (same_size, image_inside), seed
 
     def test_planted_abelian_rows(self, monkeypatch):
         # no group is a counterexample to za1 or bbu, so plant abelian flags:
@@ -464,6 +549,92 @@ class TestPlantedBoundFailures:
         monkeypatch.setattr(module, "exp_bound_holds", lambda q_order, n: None)
         got = run_check(cid, g)
         assert (got.status, dict(got.details)) == ("indeterminate", want)
+
+
+def _partition_plant(**fields):
+    """central_partition of the group with the given fields replaced."""
+
+    def planted(G):
+        return dataclasses.replace(analytics.central_partition(G), **fields)
+
+    return {"central_partition": planted}
+
+
+def _uniform_plant(m, p, k, n=None):
+    """A uniform conjugate type (m, 1) with m = p^k, and n when given."""
+    planted = {"conjugate_type": lambda G: ConjugateTypeReport(True, m, p, k)}
+    if n is not None:
+        planted["cent_count"] = lambda G: n
+    return planted
+
+
+def _raising_plant(name, exc):
+    def raising(G):
+        raise exc
+
+    return {name: raising}
+
+
+_OVERLAP = {"kind": "overlap", "element": 1, "components": [0, 1]}
+_MOVED = {"kind": "not-normal", "conjugator": 1, "component": 0}
+_COVERED = "G'Z covers only 59 of 60 elements"
+_COUNTS = "|Cent(C6xA5)| = 22 but its derived subgroup has 21"
+
+
+class TestPlantedAnalyticsInputs:
+    """No group fails zclass5, the uniform-type checks or cg118, so each case
+    plants what they read from ``central_partition``, ``conjugate_type`` or
+    ``perfect_quotient_check`` (and n where a bound needs it) in the checks
+    namespace, on a freshly built group, and asserts the exact verdict.
+    ``plants`` maps each name to the function put in its place."""
+
+    @pytest.mark.parametrize(
+        "cid,build,plants,want",
+        [
+            # D8 is an F-group, and its three Z(x)/Z have order 2
+            ("zclass5", lambda: dihedral(8), _partition_plant(is_partition=False, witness=_OVERLAP),
+             ("fail", {"f_group": True, "is_partition": False, "is_normal": True,
+                       "component_sizes": [2, 2, 2], "witness": _OVERLAP})),
+            ("zclass5", lambda: dihedral(8), _partition_plant(is_normal=False, witness=_MOVED),
+             ("fail", {"f_group": True, "is_partition": True, "is_normal": False,
+                       "component_sizes": [2, 2, 2], "witness": _MOVED})),
+            # S4 is not an F-group; a normal partition would make it one
+            ("zclass5", lambda: symmetric(4), _partition_plant(is_partition=True, witness=None),
+             ("fail", {"f_group": False, "is_partition": True, "is_normal": True,
+                       "component_sizes": [2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4], "witness": None})),
+            # S3 as type (3, 1): n - 2 = 3, but G/Z = S3 is not C3 x C3
+            ("5sb", lambda: symmetric(3), _uniform_plant(3, 3, 1),
+             ("fail", {"n": 5, "p": 3, "n_minus_2_equals_p": True, "quotient_is_CpxCp": False})),
+            # A4 as type (4, 1): n - 2 = 4, but G/Z = A4 is not C2^4
+            ("52sb", lambda: alternating(4), _uniform_plant(4, 2, 2),
+             ("fail", {"n": 6, "p": 2, "n_minus_2_equals_p2": True, "quotient_is_Cp4": False})),
+            # D8 as type (3, 1): |G/Z| = 4 = (n-2)^2, but G/Z is not C3 x C3
+            ("np2b", lambda: dihedral(8), _uniform_plant(3, 3, 1),
+             ("fail", {"n": 4, "quotient_order": 4, "equality": True, "quotient_is_CpxCp": False})),
+            ("np2b", lambda: symmetric(3), _uniform_plant(3, 3, 1, n=4),
+             ("fail", {"n": 4, "quotient_order": 6, "bound": 4})),
+            # D8 as type (4, 1): |G/Z| = 4 = (n-2)^2, but G/Z is not C2^4
+            ("np2a", lambda: dihedral(8), _uniform_plant(4, 2, 2),
+             ("fail", {"n": 4, "quotient_order": 4, "equality": True, "quotient_is_Cp4": False})),
+            ("np2a", lambda: symmetric(3), _uniform_plant(4, 2, 2, n=4),
+             ("fail", {"n": 4, "quotient_order": 6, "bound": 4})),
+            # A5 and C6 x A5 have a perfect central quotient
+            ("cg118", lambda: alternating(5),
+             _raising_plant("perfect_quotient_check", InvariantViolation(_COVERED)),
+             ("fail", {"reason": _COVERED})),
+            ("cg118", lambda: direct_product(cyclic(6), alternating(5)),
+             _raising_plant("perfect_quotient_check", InvariantViolation(_COUNTS)),
+             ("fail", {"reason": _COUNTS})),
+        ],
+        ids=["zclass5-overlap", "zclass5-not-normal", "zclass5-not-F", "5sb", "52sb", "np2b-equality",
+             "np2b-bound", "np2a-equality", "np2a-bound", "cg118-A5", "cg118-C6xA5"],
+    )
+    def test_planted_input_fails_with_its_witness(self, monkeypatch, cid, build, plants, want):
+        g = build()
+        for name, fn in plants.items():
+            monkeypatch.setattr(checks, name, fn)
+        got = run_check(cid, g)
+        assert (got.status, dict(got.details)) == want
 
 
 class TestRecognition:
