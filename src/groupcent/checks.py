@@ -170,14 +170,23 @@ class SuiteReport:
 
 def _pairs(G: FiniteGroup, s: CheckSettings, xs: Sequence[int]) -> np.ndarray:
     """(x, y) pairs with x in xs and y in G, one per row: every such pair up
-    to the exhaustive cap, seeded samples above it."""
+    to the exhaustive cap, seeded samples above it.
+
+    k samples take one ``getrandbits(64 * k)`` call, read as 2k little-endian
+    32-bit words, two per pair. A word w maps to [0, b) as (w * b) >> 32: an
+    index into xs for x, an element for y. As b <= 2^16 the product fits in
+    uint64, and each value's chance is within a relative b / 2^32 of 1/b."""
     n = G.order
+    xs = np.asarray(xs, dtype=np.int64)
     if n <= s.exhaustive_cap:
-        xs = np.asarray(xs, dtype=np.int64)
         return np.stack([np.repeat(xs, n), np.tile(np.arange(n, dtype=np.int64), xs.size)], axis=1)
-    rng = random.Random(s.seed)
-    pairs = [(rng.choice(xs), rng.randrange(n)) for _ in range(s.sample_pairs)]
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    k = s.sample_pairs
+    bits = random.Random(s.seed).getrandbits(64 * k).to_bytes(8 * k, "little")
+    words = np.frombuffer(bits, dtype="<u4").astype(np.uint64).reshape(k, 2)
+    bounds = np.array([xs.size, n], dtype=np.uint64)
+    picks = ((words * bounds) >> np.uint64(32)).astype(np.int64)
+    picks[:, 0] = xs[picks[:, 0]]
+    return picks
 
 
 def _pair_verdict(G, s, pairs: np.ndarray, ok: np.ndarray, names: tuple[str, str]):
@@ -261,7 +270,7 @@ def _z_subset(z_rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_np1(G, s):
     cz = _centralizers(G)
-    pairs = _pairs(G, s, G.elements())
+    pairs = _pairs(G, s, np.arange(G.order))
     cx, cy = cz.index[pairs[:, 0]], cz.index[pairs[:, 1]]
     ok = cz.contains[cx, cy] == _z_subset(cz.z_rows, cy, cx)
     return _pair_verdict(G, s, pairs, ok, ("x", "y"))
@@ -269,7 +278,7 @@ def _check_np1(G, s):
 
 def _check_co1(G, s):
     cz = _centralizers(G)
-    pairs = _pairs(G, s, G.elements())
+    pairs = _pairs(G, s, np.arange(G.order))
     cx, cy = cz.index[pairs[:, 0]], cz.index[pairs[:, 1]]
     ok = cz.z_rows[cx, pairs[:, 1]] == _z_subset(cz.z_rows, cy, cx)
     return _pair_verdict(G, s, pairs, ok, ("x", "y"))
@@ -296,7 +305,7 @@ def _check_np155(G, s):
 
 def _check_zclass1(G, s):
     cz = _centralizers(G)
-    pairs = _pairs(G, s, np.flatnonzero(~cz.z_rows[-1]).tolist())
+    pairs = _pairs(G, s, np.flatnonzero(~cz.z_rows[-1]))
     x, g = pairs[:, 0], pairs[:, 1]
     t, inv = G.table, G.inverses
     rx, rc = cz.index[x], cz.index[t[t[inv[g], x], g]]

@@ -63,8 +63,56 @@ class Report:
 
     def render(self) -> str:
         if self.format == "json":
-            return json.dumps(self.body, indent=2) + "\n"
+            try:
+                return _json(self.body, "") + "\n"
+            except RecursionError:
+                # json.dumps refuses a circular body with its own error
+                return json.dumps(self.body, indent=2) + "\n"
         return _TEXT_RENDERERS[self.kind](self.body)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)``, with its later lines prefixed by
+    indent, in one pass of string joins: the stdlib encoder writes indented
+    JSON through its pure-Python generators.
+
+    Only str, int, bool, None, lists and str-keyed dicts of exactly those
+    types are written here; any other value, subclasses included, goes to
+    json.dumps itself, which writes it or raises as it would in place. Its
+    newlines all lie between tokens (ensure_ascii escapes those in strings),
+    so prefixing each one re-indents it."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict and value:
+        inner = indent + "  "
+        try:
+            items = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        except TypeError:
+            # a key that is not a str, which json.dumps converts or refuses,
+            # or a value below that it refuses, raising here as it would
+            return _dumped(value, indent)
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return _dumped(value, indent)
+
+
+def _dumped(value, indent: str) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def build_analysis(G: FiniteGroup, settings: CheckSettings | None = None) -> dict:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TABLE_ORDER_CAP, _check_order, _shown, is_prime
+from .core import TABLE_ORDER_CAP, _check_order, _shown, is_prime, largest_prime_divisor
 from .errors import BadParameter, InvariantViolation, NotIrreducible, TooLarge
 
 # Irreducible moduli (ascending-degree coefficients, monic) for every prime
@@ -135,12 +135,27 @@ class FiniteField:
         return k
 
     def generator(self) -> int:
-        """Smallest generator of the (cyclic) multiplicative group."""
+        """Smallest generator of the (cyclic) multiplicative group.
+
+        Over GF(p) that is the smallest a with a^((p-1)/r) != 1 mod p for
+        each prime r dividing p - 1, so no table is built; over GF(p^e),
+        e > 1, the multiplication table is walked."""
         target = self.order - 1
-        for a in range(1, self.order):
-            if self.multiplicative_order(a) == target:
-                return a
-        raise InvariantViolation("multiplicative group has no generator")
+        if self.e == 1:
+            divisors, m = [], target
+            while m > 1:
+                r = largest_prime_divisor(m)
+                divisors.append(r)
+                while m % r == 0:
+                    m //= r
+            found = (a for a in range(1, self.p)
+                     if all(pow(a, target // r, self.p) != 1 for r in divisors))
+        else:
+            found = (a for a in range(1, self.order) if self.multiplicative_order(a) == target)
+        a = next(found, None)
+        if a is None:
+            raise InvariantViolation("multiplicative group has no generator")
+        return a
 
 
 def gf(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteField:

@@ -341,13 +341,19 @@ def loop_profile(G):
 
 
 def loop_pairs(G, settings, xs):
-    """The pairs the checks draw, as the loops drew them: (x, y) for x in xs
-    and every y up to the exhaustive cap, else seeded samples."""
+    """The pairs the checks draw, in Python ints: (x, y) for x in xs and every
+    y up to the exhaustive cap, else seeded samples, 32-bit word 2i of one
+    getrandbits draw picking x of pair i and word 2i + 1 its y, each word w
+    scaled to [0, b) as (w * b) >> 32."""
     n = G.order
     if n <= settings.exhaustive_cap:
         return "exhaustive", list(product(xs, range(n)))
-    rng = random.Random(settings.seed)
-    return "sampled", [(rng.choice(xs), rng.randrange(n)) for _ in range(settings.sample_pairs)]
+    k = settings.sample_pairs
+    bits = random.Random(settings.seed).getrandbits(64 * k)
+    words = [(bits >> (32 * i)) & 0xFFFFFFFF for i in range(2 * k)]
+    return "sampled", [
+        (xs[(words[2 * i] * len(xs)) >> 32], (words[2 * i + 1] * n) >> 32) for i in range(k)
+    ]
 
 
 def loop_pair_checks(G, settings):

@@ -1,5 +1,6 @@
 """Spec grammar, file formats, report rendering, exit codes."""
 
+import enum
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from groupcent import (
@@ -32,7 +34,8 @@ from groupcent import (
     specs,
     symmetric,
 )
-from groupcent.cli import _EXACT_FACTORIAL_MAX_N, build_analysis, main
+from groupcent import cli
+from groupcent.cli import _EXACT_FACTORIAL_MAX_N, Report, build_analysis, main
 from groupcent.errors import (
     BadOrder,
     BadParameter,
@@ -558,6 +561,90 @@ class TestSearchCommand:
         assert all(m["ca_group"] for m in body["matches"])
 
 
+class _Name(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+# every JSON value json.dumps writes, and the values and keys it converts
+_SYNTHETIC = {
+    "text": "caf\u00e9 \u4e2d \U0001f600 \x00\x1f\x7f \"quoted\" back\\slash /\t\n",
+    "numbers": [0, -1, 2**64 + 1, -(2**70), 0.1, -0.0, 1e300, float("nan"), float("inf"),
+                float("-inf")],
+    "words": [True, False, None],
+    "empty": [{}, [], {"a": {}, "b": [[]], "c": [{}, []]}],
+    "tuple": (1, "two", (3.0, None), []),
+    "keys": {7: "int", 2.5: "float", True: "bool", False: "false", None: "none", "s": "str"},
+    "deep": [{"k": {3: [1, (2, {"x": float("nan")})], "m": [{"n": [[[]]]}]}}],
+    _Name("subclass"): _Name("value"),
+    "enum": [_Level.LOW, {_Level.LOW: _Level.LOW}],
+}
+
+
+class TestJsonWriter:
+    """A JSON report is json.dumps(body, indent=2) and a newline, byte for
+    byte, and a body json.dumps refuses is refused with its error."""
+
+    @pytest.fixture
+    def bodies(self, monkeypatch):
+        seen = []
+
+        class Recording(Report):
+            def render(self):
+                seen.append(self.body)
+                return super().render()
+
+        monkeypatch.setattr(cli, "Report", Recording)
+        return seen
+
+    @staticmethod
+    def assert_written_as_json_dumps(body):
+        assert Report("analysis", "json", body).render() == json.dumps(body, indent=2) + "\n"
+
+    def test_catalog_analysis_bodies(self):
+        for entry in checks.default_catalog():
+            self.assert_written_as_json_dumps(build_analysis(entry.build()))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verify_body(self, capsys, bodies, jobs):
+        assert main(["verify", "--format", "json", "--jobs", str(jobs)]) == 0
+        [body] = bodies
+        assert capsys.readouterr().out == json.dumps(body, indent=2) + "\n"
+
+    @pytest.mark.parametrize("restrict", [None, "f-group", "ca-group"])
+    @pytest.mark.parametrize("predicate", sorted(checks._NAMED_PREDICATES))
+    def test_search_bodies(self, capsys, bodies, predicate, restrict):
+        argv = ["search", predicate, "--format", "json"]
+        assert main(argv + (["--restrict", restrict] if restrict else [])) == 0
+        [body] = bodies
+        assert capsys.readouterr().out == json.dumps(body, indent=2) + "\n"
+
+    def test_synthetic_body(self):
+        self.assert_written_as_json_dumps(_SYNTHETIC)
+        self.assert_written_as_json_dumps({"nested": _SYNTHETIC, "list": [_SYNTHETIC]})
+
+    @pytest.mark.parametrize(
+        "bad", [np.int64(1), {1, 2}, object(), {(1, 2): "tuple key"}],
+        ids=["numpy-int", "set", "object", "tuple-key"],
+    )
+    def test_unserializable_value_raises_as_json_dumps(self, bad):
+        body = {"results": [{"check": "np1", "details": {"x": bad}}]}
+        with pytest.raises(TypeError) as want:
+            json.dumps(body, indent=2)
+        with pytest.raises(TypeError) as got:
+            Report("suite", "json", body).render()
+        assert str(got.value) == str(want.value)
+
+    def test_circular_body_raises_as_json_dumps(self):
+        body = {"results": []}
+        body["results"].append(body)
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            Report("suite", "json", body).render()
+
+
 class TestExportCommand:
     def test_export_reload(self, tmp_path, capsys):
         out = tmp_path / "d14.cayley"
@@ -611,6 +698,33 @@ class TestImportCost:
             "    assert cli.main(['analyze', 'builtin:dihedral:512', '--format', 'json']) == 0",
             "    assert cli.main(['verify', '--format', 'json']) == 0",
             "print(numpy.__version__, before, 'numpy.ma' in sys.modules)",
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=Path(__file__).resolve().parents[1],
+            check=True,
+        )
+        version, before, after = proc.stdout.split()
+        assert after == before
+        if int(version.split(".")[0]) >= 2:
+            assert after == "False"
+
+    def test_analyze_and_verify_add_no_numpy_random_import(self):
+        # numpy 2 loads numpy.random on its first use, numpy 1 with numpy
+        # itself. Sampled pairs are drawn with the stdlib's random, so the two
+        # commands must leave it as importing numpy left it.
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import numpy",
+            "before = 'numpy.random' in sys.modules",
+            "from groupcent import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['analyze', 'builtin:dihedral:512', '--format', 'json']) == 0",
+            "    assert cli.main(['verify', '--format', 'json']) == 0",
+            "print(numpy.__version__, before, 'numpy.random' in sys.modules)",
         ])
         proc = subprocess.run(
             [sys.executable, "-c", script],

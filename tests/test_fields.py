@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from groupcent import gf
+from groupcent.core import is_prime
 from groupcent.errors import BadParameter, NotIrreducible, TooLarge
 from groupcent.fields import _irreducible
 
@@ -110,3 +111,19 @@ def test_field_past_the_table_cap_is_too_large_at_once(args):
     with pytest.raises(TooLarge):
         gf(*args)
     assert time.perf_counter() - start < 1
+
+
+def test_prime_field_generator_matches_the_table_walk():
+    # the smallest a whose multiplicative order, walked through mul_table,
+    # is p - 1
+    for p in filter(is_prime, range(200)):
+        f = gf(p)
+        assert "mul_table" not in f.__dict__, p
+        walked = next(a for a in range(1, p) if f.multiplicative_order(a) == p - 1)
+        assert f.generator() == walked, p
+
+
+def test_largest_prime_field_builds_no_table():
+    f = gf(65521)
+    assert f.generator() == 17
+    assert "mul_table" not in f.__dict__ and "add_table" not in f.__dict__

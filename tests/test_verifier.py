@@ -51,6 +51,7 @@ from conftest import (
     iso_known_family,
     loop_check_npcor1,
     loop_commute_pairwise,
+    loop_pairs,
     loop_is_frobenius_prime_cyclic,
     loop_profile,
     relabel_group,
@@ -105,6 +106,20 @@ class TestRunCheck:
         assert _pair_verdict(g, s, pairs, ok, ("x", "g")) == ("fail", {"x": 2, "g": 3})
         passed = _pair_verdict(g, s, pairs, ok | True, ("x", "y"))
         assert passed == ("pass", {"mode": "exhaustive", "pairs": 3})
+
+    def test_sampled_draw_at_edge_settings(self):
+        # no pairs at all, a negative seed (random.Random seeds with its
+        # absolute value) and a seed past 64 bits, against the int oracle
+        g = dihedral(128)
+        for s in (CheckSettings(sample_pairs=0), CheckSettings(seed=-7), CheckSettings(seed=2**100 + 1)):
+            for xs in ([5], [1, 64, 127], list(range(128))):
+                drawn = checks._pairs(g, s, xs)
+                assert drawn.shape == (s.sample_pairs, 2) and drawn.dtype == np.int64
+                assert drawn.tolist() == [list(p) for p in loop_pairs(g, s, xs)[1]], (s, xs)
+        assert (checks._pairs(g, CheckSettings(seed=-7), range(128))
+                == checks._pairs(g, CheckSettings(seed=7), range(128))).all()
+        got = run_check("np1", g, CheckSettings(sample_pairs=0))
+        assert (got.status, dict(got.details)) == ("pass", {"mode": "sampled", "pairs": 0})
 
     def test_bound_report_is_computed_once_per_group(self, monkeypatch):
         g = symmetric(4)
@@ -477,8 +492,41 @@ class TestPlantedFailures:
              ("fail", {"n": 25, "quotient_order": 36, "gcd": 1})),
             ("xx", lambda: direct_product(symmetric(3), symmetric(3)), "is_F_group", True,
              ("fail", {"n": 25, "quotient_order": 36, "squared": 529})),
+            # D8 has center {0, 2}: a broken chain at a central x is skipped
+            ("np155", lambda: dihedral(8), "_sandwich_chains",
+             [(4, 4, 8), (2, 4, 4), (8, 1, 8), (4, 2, 4), (2, 4, 4), (2, 4, 4), (2, 4, 4), (2, 4, 4)],
+             ("fail", {"x": 3, "chain": [4, 2, 4]})),
+            ("np155", lambda: dihedral(8), "_sandwich_chains",
+             [(4, 4, 8), (2, 8, 4), (4, 4, 8), (2, 4, 4), (2, 4, 4), (2, 4, 4), (2, 4, 4), (2, 4, 4)],
+             ("fail", {"x": 1, "chain": [2, 8, 4]})),
+            # D10 is centerless with q = 5, n = 7 = q + 2, and Frobenius with kernel C5
+            ("np12a", lambda: dihedral(10), "cent_count", 6, ("fail", {"n": 6, "q": 5})),
+            ("np12a", lambda: dihedral(10), "_is_frobenius_prime_cyclic", False,
+             ("fail", {"n": 7, "q": 5, "equality": True, "frobenius_prime_kernel": False})),
+            ("np12b", lambda: dihedral(10), "cent_count", 11, ("fail", {"n": 11, "order": 10})),
+            ("np12b", lambda: dihedral(10), "cent_count", 9,
+             ("fail", {"n": 9, "order": 10, "equality": True, "is_S3": False})),
+            # D8: n = 4 = |G|/2, and extraspecial
+            ("t1", lambda: dihedral(8), "cent_count", 5, ("fail", {"n": 5, "order": 8})),
+            ("t1", lambda: dihedral(8), "is_extraspecial", False,
+             ("fail", {"n": 4, "order": 8, "equality": True, "extraspecial_2": False})),
+            # A4: n = 6 = |G|/2, an F-group and a CA-group
+            ("thm1", lambda: alternating(4), "is_F_group", False,
+             ("fail", {"n": 6, "f_group_with_large_count": False, "family": "A4",
+                       "catalog_relative": True})),
+            ("thm1", lambda: alternating(4), "_known_family", None,
+             ("fail", {"n": 6, "f_group_with_large_count": True, "family": None,
+                       "catalog_relative": True})),
+            ("ccor1", lambda: alternating(4), "is_CA_group", False,
+             ("fail", {"n": 6, "ca_group_with_large_count": False, "family": "A4",
+                       "catalog_relative": True})),
+            ("ccor1", lambda: alternating(4), "_known_family", None,
+             ("fail", {"n": 6, "ca_group_with_large_count": True, "family": None,
+                       "catalog_relative": True})),
         ],
-        ids=["np2-not-dividing", "np2-not-prime-power", "1np", "xx"],
+        ids=["np2-not-dividing", "np2-not-prime-power", "1np", "xx", "np155-lower", "np155-upper",
+             "np12a-bound", "np12a-frobenius", "np12b-bound", "np12b-equality", "t1-bound",
+             "t1-extraspecial", "thm1-not-F", "thm1-no-family", "ccor1-not-CA", "ccor1-no-family"],
     )
     def test_planted_value_fails_with_its_witness(self, monkeypatch, cid, build, name, value, want):
         g = build()
@@ -635,6 +683,30 @@ class TestPlantedAnalyticsInputs:
             monkeypatch.setattr(checks, name, fn)
         got = run_check(cid, g)
         assert (got.status, dict(got.details)) == want
+
+
+def _parametrized(test, name):
+    """The value of one argument in each parametrize case of a test."""
+    [mark] = [m for m in test.pytestmark if m.name == "parametrize"]
+    names, cases = mark.args[:2]
+    i = [n.strip() for n in names.split(",")].index(name)
+    return [case[i] for case in cases]
+
+
+def test_every_check_has_a_planted_failure():
+    # the ids the planted tests above assert a FAIL for, so a new check
+    # cannot land without one
+    planted = {
+        *_parametrized(TestPlantedFailures.test_planted_value_fails_with_its_witness, "cid"),
+        *_parametrized(TestPlantedBoundFailures.test_planted_bound_fails_with_its_witness, "cid"),
+        *_parametrized(TestPlantedAnalyticsInputs.test_planted_input_fails_with_its_witness, "cid"),
+        *set().union(
+            *_parametrized(TestCentralizerRows.test_planted_bit_matches_formula_witnesses, "readers")
+        ),
+        "npcor1",  # test_npcor1_names_the_first_containment_in_row_major_order
+        "za1", "bbu",  # test_planted_abelian_rows
+    }
+    assert planted == set(checks.REGISTRY)
 
 
 class TestRecognition:
