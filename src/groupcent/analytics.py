@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .core import (
     _distinct,
     _element_index,
     _generators,
-    _is_closed,
+    _row_counts,
     center,
     derived_subgroup,
     is_abelian,
@@ -123,17 +123,47 @@ class _Centralizers(NamedTuple):
     center of row i as a boolean row, ``contains[i, j]`` says row i lies in
     row j, and ``abelian[i]`` says row i is abelian.
 
-    ``contains`` is read off the Z rows, with no matrix product: row i lies
-    in C(y) iff y lies in Z_i, so it gathers the Z rows at the
-    representatives. Z_i lies in row i, so row i is abelian iff the two have
-    one size. The containments of the Z rows are not kept: np1 and co1 test
-    Z(y) <= Z(x) at the pairs they check, independently of ``contains``."""
+    ``z_rows[i]`` is the AND of the rows of K at the members of row i, taken
+    over K packed eight elements to a byte. ``contains`` is read off the Z
+    rows, with no matrix product: row i lies in C(y) iff y lies in Z_i, so
+    it gathers the Z rows at the representatives. Z_i lies in row i, so row
+    i is abelian iff the two have one size. The containments of the Z rows
+    are not kept: np1 and co1 test Z(y) <= Z(x) at the pairs they check,
+    independently of ``contains``."""
 
     index: np.ndarray
     reps: np.ndarray
     z_rows: np.ndarray
     contains: np.ndarray
     abelian: np.ndarray
+
+
+# The bytes one gather of a chunked pass aims to stay under; a single row
+# that needs more is gathered alone.
+_GATHER_LIMIT = 1 << 22
+
+
+def _chunks(weights: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of range(len(weights)) whose weights sum to at
+    most ``_GATHER_LIMIT``, or that hold a single entry."""
+    ends = np.cumsum(weights)
+    start = 0
+    while start < ends.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _GATHER_LIMIT, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def _cells(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero(b)`` for a 2-D array b, read off one flat scan, which is
+    several times faster than numpy's 2-D ``nonzero``."""
+    return np.divmod(np.flatnonzero(b), b.shape[1])
+
+
+def _byte_strings(packed: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array, each viewed as one byte string."""
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 @memoized
@@ -143,12 +173,15 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     containments and its abelian flag, with no copy of K (see
     ``_Centralizers``).
 
-    The distinct rows of K are found by one 1-D ``np.unique`` over the
-    packed rows, each viewed as a single byte string; the canonical sort
-    after it fixes the row order. Row sizes are read from
-    ``_centralizer_orders`` at the representatives, so no row of K is
-    summed again, and the CA flags compare them with the Z row sizes.
-    np1 and co1 test Z(y) <= Z(x) on the Z rows at their own pairs.
+    Every step is a whole-array pass. The distinct rows of K are found by
+    one 1-D ``np.unique`` over the packed rows, each viewed as a single byte
+    string, and one ``np.lexsort`` over (row size, reversed byte-string
+    rank) puts them in canonical order. The Z rows are one
+    ``np.bitwise_and.reduceat`` over the packed rows of K gathered at the
+    members of each row, in chunks of about ``_GATHER_LIMIT`` bytes, and
+    unpacked once. Row sizes are read from ``_centralizer_orders``, so no
+    row of K is summed again, and the CA flags compare them with the Z row
+    sizes. np1 and co1 test Z(y) <= Z(x) on the Z rows at their own pairs.
 
     Raises AbelianGroupError for abelian input, where the only centralizer
     is the group itself, and InvariantViolation if the rows break the
@@ -157,32 +190,43 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     if is_abelian(G):
         raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
     k = _commuting_matrix(G)
-    packed = np.packbits(k, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    first, inverse = np.unique(keys, return_index=True, return_inverse=True)[1:]
-    del packed, keys  # freed before the row gathers below
-    elems = [np.flatnonzero(k[x]).tolist() for x in first]
-    # G is the one row of size |G|, so it sorts last
-    canon = sorted(range(first.size), key=lambda i: (len(elems[i]), elems[i]))
+    # K packed eight elements to a byte, in rows of whole 64-bit words
+    packed = np.zeros((G.order, -(-G.order // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-G.order // 8)] = np.packbits(k, axis=1)
+    first, inverse = np.unique(_byte_strings(packed), return_index=True, return_inverse=True)[1:]
+    orders = _centralizer_orders(G)
+    # np.unique sorts the rows as byte strings, and of two rows of one size the
+    # larger string holds the smaller first element where they differ, so it
+    # sorts first; G is the one row of size |G|, so it sorts last
+    canon = np.lexsort((np.arange(first.size)[::-1], orders[first]))
     index = np.argsort(canon)[inverse.reshape(-1)]
     reps = first[canon]
-    # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that is Z(x).
-    z_rows = np.array([k[k[x]].all(axis=0) for x in reps])
+    sizes = orders[reps]
+    # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that
+    # is Z(x), the AND of the rows of K at the members of C(x)
+    words = packed.view(np.uint64)
+    z_words = np.empty((reps.size, words.shape[1]), dtype=np.uint64)
+    # a chunk gathers its rows of K, and per member a packed row and two int64 indices
+    for part in _chunks(G.order + sizes * (packed.shape[1] + 16)):
+        members = _cells(k[reps[part]])[1]
+        ends = sizes[part].cumsum()
+        z_words[part] = np.bitwise_and.reduceat(words[members], ends - sizes[part], axis=0)
+    del packed, words
+    z_rows = np.unpackbits(z_words.view(np.uint8), axis=1, count=G.order).view(bool)
 
     n = reps.size
     if n < 4:
         raise InvariantViolation(f"{G.name} reports n={n}; no group has 2 or 3 centralizers")
     zg = z_rows[-1]
-    sizes = _centralizer_orders(G)[reps]
     proper = sizes[:-1]
     if not (((zg.sum() < proper) & (proper < G.order)).all() and k[np.ix_(reps[:-1], zg)].all()):
         raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
     if not z_rows.any(axis=0).all():
         raise InvariantViolation("the Z(x) together with the center do not cover the group")
 
-    abelian = z_rows.sum(axis=1) == sizes
+    abelian = _row_counts(z_rows) == sizes
     # row i lies in C(y) iff y commutes with all of row i, that is, iff y lies in Z_i
-    contains = z_rows[:, reps]
+    contains = z_rows.take(reps, axis=1)
     cz = _Centralizers(index, reps, z_rows, contains, abelian)
     for a in cz:
         a.setflags(write=False)
@@ -267,6 +311,33 @@ def conjugate_type(G: FiniteGroup) -> ConjugateTypeReport:
     return ConjugateTypeReport(is_uniform=True, m=m, p=pp[0], k=pp[1])
 
 
+def _rows_closed(G: FiniteGroup, rows: np.ndarray) -> bool:
+    """Is each row of the boolean matrix ``rows``, as a subset of G, closed
+    under the product? One pass per size class of rows, in chunks of about
+    ``_GATHER_LIMIT`` bytes: a chunk gathers all products of its rows'
+    members by one uint16 broadcast gather of the table and looks them up
+    in its rows, flattened. Several rows need a uint32 index into them; a
+    row gathered alone, which may hold many products, is indexed by its
+    uint16 products, so no wider copy of them is made."""
+    sizes = _row_counts(rows)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.flatnonzero(np.diff(sizes[order], prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [order.size]):
+        s = int(sizes[order[a]])
+        cls = order[a:b]
+        # per product: a uint16 product, its uint32 flat index and a bool
+        for part in _chunks(np.full(cls.size, G.order + 7 * s * s)):
+            member = rows[cls[part]]
+            c = member.shape[0]
+            elems = _cells(member)[1].reshape(c, s)
+            products = G.table[elems[:, :, None], elems[:, None, :]]
+            if c > 1:  # look up in the flattened rows: at most 2^22 entries, so uint32 is exact
+                products = products + (np.arange(c, dtype=np.uint32) * G.order)[:, None, None]
+            if not member.ravel()[products].all():
+                return False
+    return True
+
+
 @memoized
 def central_partition(G: FiniteGroup) -> PartitionReport:
     """Project the distinct Z(x) into G/Z(G) and test partition/normality.
@@ -274,26 +345,35 @@ def central_partition(G: FiniteGroup) -> PartitionReport:
     This reads the Z rows through the coset labels of G/Z, while is_F_group
     reads them at the row representatives (the ``contains`` gather), so the
     two verdicts are cross-validated from one source by different routes.
+
+    Each Z(x) must be a subgroup of G whose image has at least two cosets;
+    ``_rows_closed`` tests closure once per size class of Z rows. The
+    family is normal iff conjugating it by each generator of G keeps it:
+    the conjugated components are packed and looked up in the sorted packed
+    family by one ``searchsorted`` per generator.
     """
     z_rows = _centralizers(G).z_rows[:-1]
+    # closure first, so its gathers never overlap the m x |G/Z| images below
+    if not _rows_closed(G, z_rows):
+        raise InvariantViolation("a projected component is not a nontrivial subgroup")
     reps, label = _central_cosets(G)
     # Z(x) contains Z(G), so it is the union of the cosets whose least element it holds
     images = z_rows.take(reps, axis=1)
-    cols = np.nonzero(images)[1].tolist()
-    ends = np.count_nonzero(images, axis=1).cumsum().tolist()
+    lengths = _row_counts(images)
+    if (lengths < 2).any():
+        raise InvariantViolation("a projected component is not a nontrivial subgroup")
+    cols = _cells(images)[1].tolist()
+    ends = lengths.cumsum().tolist()
     comps = [tuple(cols[a:b]) for a, b in zip([0, *ends], ends)]
     order = sorted(range(len(comps)), key=lambda i: (len(comps[i]), comps[i]))
     components = tuple(comps[i] for i in order)
 
-    for comp, z in zip(comps, z_rows):
-        if len(comp) < 2 or not _is_closed(G, np.flatnonzero(z)):
-            raise InvariantViolation("a projected component is not a nontrivial subgroup")
-
     # the nontrivial cosets of the components, scanned in component order
     scan = images[order]
+    del images
     hit = scan.any(axis=0)  # the identity coset lies in every component
     scan[:, label[G.identity]] = False
-    owner, coset = np.nonzero(scan)
+    owner, coset = _cells(scan)
     repeat = np.setdiff1d(np.arange(coset.size), np.unique(coset, return_index=True)[1], assume_unique=True)
     witness = None
     if repeat.size:
@@ -304,16 +384,16 @@ def central_partition(G: FiniteGroup) -> PartitionReport:
         witness = {"kind": "uncovered", "element": int(hit.argmin())}
     is_partition = witness is None
 
-    # the family is normal iff conjugating by each generator of G keeps it;
     # the coset of b lies in g^-1 C g iff the coset of g b g^-1 lies in C
-    family = set(map(bytes, np.packbits(scan, axis=1)))
+    family = np.sort(_byte_strings(np.packbits(scan, axis=1)))
     t, inv = G.table, G.inverses
-    moved = next(
-        ((int(label[g]), i) for g in _generators(G)
-         for i, row in enumerate(np.packbits(scan.take(label[t[t[g, reps], inv[g]]], axis=1), axis=1))
-         if bytes(row) not in family),
-        None,
-    )
+    moved = None
+    for g in _generators(G):
+        conj = _byte_strings(np.packbits(scan.take(label[t[t[g, reps], inv[g]]], axis=1), axis=1))
+        found = family[np.searchsorted(family, conj).clip(max=family.size - 1)] == conj
+        if not found.all():
+            moved = (int(label[g]), int(found.argmin()))
+            break
     if moved is not None and witness is None:
         witness = {"kind": "not-normal", "conjugator": moved[0], "component": moved[1]}
 
@@ -463,7 +543,7 @@ def _sandwich_chains(G: FiniteGroup) -> tuple[tuple[int, int, int], ...]:
         reps, label = _central_cosets(G)
         # xZ and yZ commute iff the labels of xy and yx agree
         lt = label[G.table[np.ix_(reps, reps)]]
-        middle = (lt == lt.T).sum(axis=1)[label]
+        middle = _row_counts(lt == lt.T)[label]
     return tuple(map(tuple, np.stack([upper // z, middle, upper], 1).tolist()))
 
 

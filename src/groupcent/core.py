@@ -329,11 +329,19 @@ def _commuting_matrix(G: FiniteGroup) -> np.ndarray:
     return k
 
 
+def _row_counts(b: np.ndarray) -> np.ndarray:
+    """Entry i is the number of true entries in row i of the boolean matrix
+    b, as int64. The rows are summed as uint8 into uint16, which is exact
+    because no row is longer than TABLE_ORDER_CAP, and several times faster
+    than ``b.sum(axis=1)``, which widens every entry to int64."""
+    return b.view(np.uint8).sum(axis=1, dtype=np.uint16).astype(np.int64)
+
+
 @memoized
 def _centralizer_orders(G: FiniteGroup) -> np.ndarray:
     """Entry x is |C(x)|, the row sum of K: the one pass over K that every
     reader of centralizer orders shares."""
-    sizes = _commuting_matrix(G).sum(axis=1)
+    sizes = _row_counts(_commuting_matrix(G))
     sizes.setflags(write=False)
     return sizes
 

@@ -76,8 +76,17 @@ class FiniteField:
     def encode(self, coeffs) -> int:
         return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
 
+    def _prime_table(self, op: np.ufunc) -> np.ndarray:
+        """The read-only table of op mod p on GF(p), whose codes are 0..p-1."""
+        a = np.arange(self.p, dtype=np.int64)
+        t = (op.outer(a, a) % self.p).astype(np.int32)
+        t.setflags(write=False)
+        return t
+
     @cached_property
     def add_table(self) -> np.ndarray:
+        if self.e == 1:
+            return self._prime_table(np.add)
         q = self.order
         t = np.zeros((q, q), dtype=np.int32)
         for a in range(q):
@@ -91,6 +100,8 @@ class FiniteField:
 
     @cached_property
     def mul_table(self) -> np.ndarray:
+        if self.e == 1:
+            return self._prime_table(np.multiply)
         q = self.order
         t = np.zeros((q, q), dtype=np.int32)
         for a in range(q):

@@ -36,7 +36,7 @@ from groupcent import (
     semidirect,
     symmetric,
 )
-from groupcent import analytics
+from groupcent import analytics, fields
 from groupcent.checks import FAIL, PASS, SKIP, _quotient_order
 from groupcent.core import (
     FiniteGroup,
@@ -213,10 +213,9 @@ def loop_element_orders(table, identity):
 
 def relabel_group(g, perm):
     """The same group with element i renamed perm[i], validated afresh."""
+    perm = np.asarray(perm, dtype=np.int64)
     table = np.empty((g.order, g.order), dtype=np.int64)
-    for i in range(g.order):
-        for j in range(g.order):
-            table[perm[i], perm[j]] = perm[g.mul(i, j)]
+    table[np.ix_(perm, perm)] = perm[g.table]
     return from_table(table, name=f"{g.name}~")
 
 
@@ -439,6 +438,23 @@ def formula_elementary_abelian_table(p, k):
         dj = (idx[None, :] // p**i) % p
         table += ((di + dj) % p) * p**i
     return table
+
+
+def loop_field_tables(field):
+    """Oracle for FiniteField.add_table and mul_table: the tables as they
+    were filled before the prime-field broadcast, one pair of codes at a
+    time through decode, polynomial arithmetic and encode."""
+    q = field.order
+    add = np.zeros((q, q), dtype=np.int32)
+    mul = np.zeros((q, q), dtype=np.int32)
+    for a in range(q):
+        da = field.decode(a)
+        for b in range(a, q):
+            db = field.decode(b)
+            add[a, b] = add[b, a] = field.encode([x + y for x, y in zip(da, db)])
+            prod = fields._poly_mod(fields._poly_mul(da, db, field.p), field.modulus, field.p)
+            mul[a, b] = mul[b, a] = field.encode(prod)
+    return add, mul
 
 
 def formula_heisenberg_table(field):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groupcent import (
+    ActionSpec,
     CheckSettings,
     alternating,
     bounds,
@@ -40,6 +41,7 @@ from groupcent import (
     quaternion8,
     quotient_centralizer_sandwich,
     run_check,
+    semidirect,
     subgroup_as_group,
     symmetric,
     center,
@@ -53,6 +55,7 @@ from groupcent.errors import (
     BadN,
     BadParameter,
     CentralElementError,
+    InvariantViolation,
     NotPerfectQuotient,
     PreconditionNotMet,
 )
@@ -219,9 +222,109 @@ class TestCentralPartition:
             assert is_F_group(g) == (rep.is_partition and rep.is_normal)
 
 
+def _plant_z_rows(monkeypatch, g, rows):
+    """Make the record of g report the given proper Z rows, then Z(G)."""
+    real = analytics._centralizers(g)
+    fake = real._replace(z_rows=np.vstack([rows, real.z_rows[-1:]]))
+    monkeypatch.setattr(analytics, "_centralizers", lambda G: fake)
+
+
+def _frobenius_56():
+    """C2^3:C7, the complement acting on the kernel as the units of GF(8)
+    act on its additive group. It is centerless, so G/Z is G."""
+    f = gf(2, 3)
+    units = [1]
+    for _ in range(6):
+        units.append(f.mul(units[-1], 2))
+    action = tuple(tuple(f.mul(u, v) for v in range(8)) for u in units)
+    return semidirect(ActionSpec(elementary_abelian(2, 3), cyclic(7), action), name="C2^3:C7")
+
+
+class TestPlantedPartitionPasses:
+    # planted Z rows that no group reports: each closure case must raise
+    # what the quotient oracle raises, and the normality pass must give its
+    # witness
+    REFUSED = "^a projected component is not a nontrivial subgroup$"
+
+    def _assert_refused(self, g):
+        for route in (central_partition, quotient_central_partition):
+            with pytest.raises(InvariantViolation, match=self.REFUSED):
+                route(g)
+
+    def test_non_closed_row_in_a_class_of_several(self, monkeypatch):
+        # D10: five Z rows {1, s} of size 2, then the rotations; the middle
+        # one of the five becomes {s0, s1}, which lacks s0 s0 = 1
+        g = dihedral(10)
+        rows = analytics._centralizers(g).z_rows[:-1].copy()
+        assert core._row_counts(rows).tolist() == [2, 2, 2, 2, 2, 5]
+        rows[2] = rows[0] ^ rows[1]
+        _plant_z_rows(monkeypatch, g, rows)
+        self._assert_refused(g)
+
+    def test_non_closed_row_alone_in_its_class(self, monkeypatch):
+        # the rotations of D10 with one of them swapped for a reflection
+        g = dihedral(10)
+        rows = analytics._centralizers(g).z_rows[:-1].copy()
+        rows[5] ^= rows[0]
+        assert core._row_counts(rows).tolist() == [2, 2, 2, 2, 2, 5]
+        _plant_z_rows(monkeypatch, g, rows)
+        self._assert_refused(g)
+
+    def test_non_closed_row_in_a_later_chunk(self, monkeypatch):
+        # with room for two rows of the size-2 class per gather, the class
+        # splits into three chunks and the planted row is in the last
+        g = dihedral(10)
+        real = analytics._centralizers(g)
+        weight = g.order + 3 * 2 * 2
+        monkeypatch.setattr(analytics, "_GATHER_LIMIT", 2 * weight)
+        assert [(c.start, c.stop) for c in analytics._chunks(np.full(5, weight))] == [(0, 2), (2, 4), (4, 5)]
+        assert analytics._rows_closed(g, real.z_rows)
+        rows = real.z_rows[:-1].copy()
+        rows[4] = rows[0] ^ rows[1]
+        _plant_z_rows(monkeypatch, g, rows)
+        self._assert_refused(g)
+
+    def test_component_of_one_coset(self, monkeypatch):
+        # D12 has Z(G) = {1, r^3}: a Z row equal to it is a closed set of two
+        # elements that projects to the identity coset alone
+        g = dihedral(12)
+        real = analytics._centralizers(g)
+        rows = real.z_rows[:-1].copy()
+        rows[1] = real.z_rows[-1]
+        assert core._row_counts(rows)[1] == 2
+        _plant_z_rows(monkeypatch, g, rows)
+        self._assert_refused(g)
+
+    def test_partition_that_is_not_normal(self, monkeypatch):
+        # C2^3:C7 is partitioned by one plane of the kernel, the four kernel
+        # elements off it (each with the identity), and the eight Sylow
+        # 7-subgroups; the complement moves the plane, so the family is not
+        # normal
+        g = _frobenius_56()
+        real = analytics._centralizers(g)
+        plane = np.zeros(g.order, dtype=bool)
+        plane[[7 * v for v in range(4)]] = True
+        lines = np.zeros((4, g.order), dtype=bool)
+        lines[:, g.identity] = True
+        lines[np.arange(4), [7 * v for v in range(4, 8)]] = True
+        sylow = [r for r in real.z_rows[:-1] if r.sum() == 7]
+        assert len(sylow) == 8
+        _plant_z_rows(monkeypatch, g, np.vstack([plane, lines, sylow]))
+        rep = central_partition(g)
+        assert rep.is_partition and not rep.is_normal
+        assert rep.witness["kind"] == "not-normal"
+        assert rep == quotient_central_partition(g)
+
+
 class TestCentralizerRows:
     def test_match_unique_rows_oracle(self, oracle_pool):
-        for g in oracle_pool:
+        # the pool and a relabelled copy of each of its groups, so the
+        # canonical order is checked under relabelling
+        copies = [
+            relabel_group(g, random.Random(g.order + 1).sample(range(g.order), g.order))
+            for g in oracle_pool if not is_abelian(g)
+        ]
+        for g in oracle_pool + copies:
             if is_abelian(g):
                 continue
             got, want = analytics._centralizers(g), unique_rows_centralizers(g)

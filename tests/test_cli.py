@@ -685,19 +685,21 @@ class TestExitCodes:
 
 
 class TestImportCost:
-    def test_analyze_and_verify_add_no_numpy_ma_import(self):
-        # In numpy 2 a plain np.unique call imports numpy.ma the first time
-        # it runs; numpy 1 imports numpy.ma with numpy itself. So the two
-        # commands must leave it as importing numpy left it.
+    @pytest.fixture(scope="class")
+    def imports(self):
+        """One fresh interpreter runs analyze and verify; per module, whether
+        importing numpy loaded it and whether it is loaded after the two
+        commands, with the numpy version."""
         script = "\n".join([
             "import contextlib, io, sys",
             "import numpy",
-            "before = 'numpy.ma' in sys.modules",
+            "mods = ('numpy.ma', 'numpy.random')",
+            "before = [m in sys.modules for m in mods]",
             "from groupcent import cli",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert cli.main(['analyze', 'builtin:dihedral:512', '--format', 'json']) == 0",
             "    assert cli.main(['verify', '--format', 'json']) == 0",
-            "print(numpy.__version__, before, 'numpy.ma' in sys.modules)",
+            "print(numpy.__version__, *before, *[m in sys.modules for m in mods])",
         ])
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -707,34 +709,29 @@ class TestImportCost:
             cwd=Path(__file__).resolve().parents[1],
             check=True,
         )
-        version, before, after = proc.stdout.split()
+        version, ma_before, random_before, ma_after, random_after = proc.stdout.split()
+        return {
+            "version": version,
+            "numpy.ma": (ma_before, ma_after),
+            "numpy.random": (random_before, random_after),
+        }
+
+    def test_analyze_and_verify_add_no_numpy_ma_import(self, imports):
+        # In numpy 2 a plain np.unique call imports numpy.ma the first time
+        # it runs; numpy 1 imports numpy.ma with numpy itself. So the two
+        # commands must leave it as importing numpy left it.
+        version = imports["version"]
+        before, after = imports["numpy.ma"]
         assert after == before
         if int(version.split(".")[0]) >= 2:
             assert after == "False"
 
-    def test_analyze_and_verify_add_no_numpy_random_import(self):
+    def test_analyze_and_verify_add_no_numpy_random_import(self, imports):
         # numpy 2 loads numpy.random on its first use, numpy 1 with numpy
         # itself. Sampled pairs are drawn with the stdlib's random, so the two
         # commands must leave it as importing numpy left it.
-        script = "\n".join([
-            "import contextlib, io, sys",
-            "import numpy",
-            "before = 'numpy.random' in sys.modules",
-            "from groupcent import cli",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    assert cli.main(['analyze', 'builtin:dihedral:512', '--format', 'json']) == 0",
-            "    assert cli.main(['verify', '--format', 'json']) == 0",
-            "print(numpy.__version__, before, 'numpy.random' in sys.modules)",
-        ])
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd=Path(__file__).resolve().parents[1],
-            check=True,
-        )
-        version, before, after = proc.stdout.split()
+        version = imports["version"]
+        before, after = imports["numpy.random"]
         assert after == before
         if int(version.split(".")[0]) >= 2:
             assert after == "False"

@@ -321,6 +321,18 @@ class TestCenterAndCentralizer:
             assert core._center_elements(g).tolist() == [x for x in range(n) if brute[x] == n]
             assert is_abelian(g) == (min(brute) == n)
 
+    def test_row_counts_match_the_int64_row_sum(self):
+        # summed as uint8 into uint16: exact up to rows of TABLE_ORDER_CAP entries
+        rng = np.random.default_rng(5)
+        for shape, density in (((1, 1), 0.5), ((7, 300), 0.5), ((64, 1536), 0.9), ((3, 4097), 0.02)):
+            b = rng.random(shape) < density
+            assert np.array_equal(core._row_counts(b), b.sum(axis=1))
+            assert core._row_counts(b).dtype == np.int64
+        b = rng.random((40, 50)) < 0.5
+        assert np.array_equal(core._row_counts(b[::3, ::2]), b[::3, ::2].sum(axis=1))
+        full = np.ones((1, core.TABLE_ORDER_CAP), dtype=bool)
+        assert core._row_counts(full).tolist() == full.sum(axis=1).tolist() == [65535]
+
     def test_center_is_intersection_of_centralizers(self):
         for g in (symmetric(4), quaternion8(), dihedral(12)):
             common = set(g.elements())

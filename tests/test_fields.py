@@ -10,6 +10,8 @@ from groupcent.core import is_prime
 from groupcent.errors import BadParameter, NotIrreducible, TooLarge
 from groupcent.fields import _irreducible
 
+from conftest import loop_field_tables
+
 
 def test_gf4_multiplication_by_hand():
     # elements: 0, 1, x (=2), x+1 (=3) with modulus x^2 + x + 1
@@ -127,3 +129,15 @@ def test_largest_prime_field_builds_no_table():
     f = gf(65521)
     assert f.generator() == 17
     assert "mul_table" not in f.__dict__ and "add_table" not in f.__dict__
+
+
+def test_prime_field_tables_are_byte_identical_to_the_loop():
+    # the broadcast tables, taken mod p in int64 and stored as int32, for
+    # every prime below 200; the tables are q x q, so tests keep q small
+    # (at q = 65521 the int64 outer product alone would take 34 GB)
+    for p in filter(is_prime, range(200)):
+        f = gf(p)
+        for got, want in zip((f.add_table, f.mul_table), loop_field_tables(f)):
+            assert got.dtype == want.dtype and got.shape == want.shape, p
+            assert got.tobytes() == want.tobytes(), p
+            assert not got.flags.writeable, p
