@@ -50,6 +50,7 @@ from .core import (
     _commuting_matrix,
     _derived_elements,
     _distinct,
+    _row_counts,
     is_abelian,
     is_nilpotent,
     is_prime,
@@ -385,7 +386,7 @@ def _check_bc1a(G, s):
     if qz > bound:
         return FAIL, {"n": n, "quotient_order": qz, "bound": bound}
     # Z(x) of a non-central x holds x and Z(G), so each of these rows is larger than Z(G)
-    z_sizes = _centralizers(G).z_rows[:-1].sum(axis=1)
+    z_sizes = _row_counts(_centralizers(G).z_rows[:-1])
     stricter = bool((((z_sizes // _center_elements(G).size) ** 2) < qz).all())
     details = {"n": n, "quotient_order": qz, "bound": bound, "strict_hypothesis": stricter}
     if stricter and qz >= bound:

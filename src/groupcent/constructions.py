@@ -41,12 +41,9 @@ from .errors import (
     NotFrobenius,
     TooLarge,
 )
-from .fields import FiniteField
+from .fields import FiniteField, gf
 
 PERMUTATION_CLOSURE_CAP = 10000
-
-# Field orders whose Heisenberg group stays within desk-scale validation.
-HEISENBERG_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 
 def _check_cyclic(n: int) -> None:
@@ -186,15 +183,6 @@ def alternating(n: int) -> FiniteGroup:
     return from_permutations(n, [_cycle(n, i, 3) for i in range(n - 2)], name=f"A{n}")
 
 
-def _unit_order(r: int, q: int) -> int:
-    """Multiplicative order of r mod q; r must be a unit mod q."""
-    k, x = 1, r % q
-    while x != 1:
-        x = (x * r) % q
-        k += 1
-    return k
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """A complement acting on a kernel: action[h] permutes kernel indices."""
@@ -242,8 +230,8 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
 
 
 def _check_frobenius(q: int, n: int, r: int) -> None:
-    # the kernel C_q meets the cap before the primality test and the order of
-    # r, which take up to sqrt(q) and q steps
+    # the kernel C_q meets the cap before the primality test, which takes up
+    # to sqrt(q) steps, and the order of r over GF(q)
     _check_order(q)
     if not is_prime(q):
         raise BadParameter(f"kernel order {q} must be prime")
@@ -251,7 +239,7 @@ def _check_frobenius(q: int, n: int, r: int) -> None:
         raise BadParameter("complement order must be >= 2")
     if r % q == 0:
         raise BadOrder(f"r={r} is not a unit mod {q}")
-    k = _unit_order(r, q)
+    k = gf(q).multiplicative_order(r % q)
     if k != n:
         raise BadOrder(f"r={r} has multiplicative order {k} mod {q}, need {n}")
 
@@ -279,10 +267,9 @@ def smallest_frobenius_unit(q: int, n: int) -> int:
     """Least r with multiplicative order exactly n mod q; helper for fixtures."""
     if not is_prime(q) or n < 2 or (q - 1) % n != 0:
         raise BadParameter(f"no unit of order {n} exists mod {q}")
-    for r in range(2, q):
-        if _unit_order(r, q) == n:
-            return r
-    raise BadParameter(f"no unit of order {n} exists mod {q}")
+    # GF(q)^* is cyclic of order q - 1, so a unit of each order n | q - 1 exists
+    field = gf(q)
+    return next(r for r in range(2, q) if field.multiplicative_order(r) == n)
 
 
 def central_product(
@@ -341,13 +328,12 @@ def extraspecial2(a: int, variant: str) -> FiniteGroup:
 
 def _check_heisenberg(p: int, e: int) -> None:
     """The field GF(p^e) of ``heisenberg``, checked before it is built."""
-    # the membership test first: a huge p fails it without a trial division;
+    # the size test first: a huge p fails it without a trial division;
     # before it, e meets the cap's bit length, so p**e stays small
     in_range = 1 <= e <= TABLE_ORDER_CAP.bit_length()
-    if not in_range or p**e not in HEISENBERG_FIELD_ORDERS or not is_prime(p):
+    if not in_range or (p**e) ** 3 > 1024 or not is_prime(p):
         raise BadParameter(
-            f"field order {p}^{e} not supported; need a prime p and q = p^e "
-            f"with q^3 <= 1024 (q in {HEISENBERG_FIELD_ORDERS})"
+            f"field order {p}^{e} not supported; need a prime p and q = p^e with q^3 <= 1024"
         )
 
 

@@ -1,9 +1,12 @@
-"""Small finite fields GF(p^e) with table-backed arithmetic.
+"""Small finite fields GF(p^e) on integer codes.
 
 Elements are encoded as integers 0..p^e-1 whose base-p digits are the
-coefficients of a polynomial over GF(p), reduced by a fixed irreducible
-modulus. Only desk-scale fields are supported; everything is precomputed
-into dense tables.
+coefficients of a polynomial over GF(p), reduced by an irreducible monic
+modulus: unless one is supplied, the first x^e + t with the tails t in code
+order. Multiplicative orders and the generator come from the prime factors
+of p^e - 1 by square-and-multiply, so building a field builds no table. The
+dense add and multiplication tables are built on first use, from base-p
+digit arrays and from one exp/log pair of the generator.
 """
 
 from __future__ import annotations
@@ -15,15 +18,6 @@ import numpy as np
 
 from .core import TABLE_ORDER_CAP, _check_order, _shown, is_prime, largest_prime_divisor
 from .errors import BadParameter, InvariantViolation, NotIrreducible, TooLarge
-
-# Irreducible moduli (ascending-degree coefficients, monic) for every prime
-# power <= 16; larger fields need a user-supplied modulus.
-BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),        # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
-    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
-    (3, 2): (1, 0, 1),        # x^2 + 1
-}
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
@@ -47,20 +41,36 @@ def _poly_mod(a: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
     return [c % p for c in a[:deg_m]]
 
 
+def _monic(tail: int, p: int, degree: int) -> tuple[int, ...]:
+    """x^degree plus the polynomial whose coefficients are the base-p digits
+    of tail, ascending."""
+    return tuple((tail // p**i) % p for i in range(degree)) + (1,)
+
+
 def _irreducible(modulus: tuple[int, ...], p: int) -> bool:
     """Has the monic modulus no monic factor of degree 1..e/2 over GF(p)?"""
     e = len(modulus) - 1
     for deg in range(1, e // 2 + 1):
         for tail in range(p**deg):
-            cand = tuple((tail // p**i) % p for i in range(deg)) + (1,)
-            if not any(_poly_mod(list(modulus), cand, p)):
+            if not any(_poly_mod(list(modulus), _monic(tail, p, deg), p)):
                 return False
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, largest first."""
+    factors = []
+    while n > 1:
+        r = largest_prime_divisor(n)
+        factors.append(r)
+        while n % r == 0:
+            n //= r
+    return factors
+
+
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(p^e) presented through dense add/mul tables on integer codes."""
+    """GF(p^e) on integer codes, with dense add/mul tables built on demand."""
 
     p: int
     e: int
@@ -76,51 +86,59 @@ class FiniteField:
     def encode(self, coeffs) -> int:
         return sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))
 
-    def _prime_table(self, op: np.ufunc) -> np.ndarray:
-        """The read-only table of op mod p on GF(p), whose codes are 0..p-1."""
-        a = np.arange(self.p, dtype=np.int64)
-        t = (op.outer(a, a) % self.p).astype(np.int32)
-        t.setflags(write=False)
-        return t
+    def _times(self, a: list[int], b: list[int]) -> list[int]:
+        """The product of two digit lists, as a digit list."""
+        return _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
+
+    def _power(self, a: int, k: int) -> int:
+        """a^k for k >= 0, by square-and-multiply."""
+        result, base = [1], list(self.decode(a))
+        while k:
+            if k & 1:
+                result = self._times(result, base)
+            base = self._times(base, base)
+            k >>= 1
+        return self.encode(result)
+
+    @cached_property
+    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp[i] = g^i for 0 <= i < q - 1 and log[exp[i]] = i, for the
+        generator g; log[0] is an unused 0."""
+        q, g = self.order, list(self.decode(self.generator()))
+        exp = np.ones(q - 1, dtype=np.int32)
+        x = [1]
+        for i in range(1, q - 1):
+            x = self._times(x, g)
+            exp[i] = self.encode(x)
+        log = np.zeros(q, dtype=np.int32)
+        log[exp] = np.arange(q - 1, dtype=np.int32)
+        return exp, log
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        if self.e == 1:
-            return self._prime_table(np.add)
-        q = self.order
-        t = np.zeros((q, q), dtype=np.int32)
-        for a in range(q):
-            da = self.decode(a)
-            for b in range(a, q):
-                db = self.decode(b)
-                s = self.encode([x + y for x, y in zip(da, db)])
-                t[a, b] = t[b, a] = s
+        # digit by digit: sum of (d_i(a) + d_i(b) mod p) p^i
+        codes = np.arange(self.order, dtype=np.int32)
+        t = np.zeros((self.order, self.order), dtype=np.int32)
+        for i in range(self.e):
+            d = (codes // self.p**i) % self.p
+            t += (np.add.outer(d, d) % self.p) * self.p**i
         t.setflags(write=False)
         return t
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        if self.e == 1:
-            return self._prime_table(np.multiply)
-        q = self.order
-        t = np.zeros((q, q), dtype=np.int32)
-        for a in range(q):
-            da = self.decode(a)
-            for b in range(a, q):
-                prod = _poly_mod(_poly_mul(da, self.decode(b), self.p), self.modulus, self.p)
-                t[a, b] = t[b, a] = self.encode(prod)
+        exp, log = self._exp_log
+        t = exp[(log[:, None] + log[None, :]) % (self.order - 1)]
+        t[0, :] = t[:, 0] = 0
         t.setflags(write=False)
         return t
 
     @cached_property
     def inverse_table(self) -> tuple[int, ...]:
-        q = self.order
-        inv = [0] * q
-        for a in range(1, q):
-            row = self.mul_table[a]
-            b = int(np.nonzero(row == 1)[0][0])
-            inv[a] = b
-        return tuple(inv)
+        exp, log = self._exp_log
+        inv = exp[-log % (self.order - 1)]
+        inv[0] = 0
+        return tuple(inv.tolist())
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
@@ -137,32 +155,23 @@ class FiniteField:
         return self.inverse_table[a]
 
     def multiplicative_order(self, a: int) -> int:
+        """The least k >= 1 with a^k = 1: q - 1 divided by each prime r of
+        q - 1 for as long as the power stays 1."""
         if a == 0:
             raise BadParameter("0 has no multiplicative order")
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
+        k = self.order - 1
+        for r in _prime_factors(k):
+            while k % r == 0 and self._power(a, k // r) == 1:
+                k //= r
         return k
 
     def generator(self) -> int:
-        """Smallest generator of the (cyclic) multiplicative group.
-
-        Over GF(p) that is the smallest a with a^((p-1)/r) != 1 mod p for
-        each prime r dividing p - 1, so no table is built; over GF(p^e),
-        e > 1, the multiplication table is walked."""
+        """Smallest generator of the (cyclic) multiplicative group: the
+        smallest a with a^((q-1)/r) != 1 for each prime r dividing q - 1."""
         target = self.order - 1
-        if self.e == 1:
-            divisors, m = [], target
-            while m > 1:
-                r = largest_prime_divisor(m)
-                divisors.append(r)
-                while m % r == 0:
-                    m //= r
-            found = (a for a in range(1, self.p)
-                     if all(pow(a, target // r, self.p) != 1 for r in divisors))
-        else:
-            found = (a for a in range(1, self.order) if self.multiplicative_order(a) == target)
+        factors = _prime_factors(target)
+        found = (a for a in range(1, self.order)
+                 if all(self._power(a, target // r) != 1 for r in factors))
         a = next(found, None)
         if a is None:
             raise InvariantViolation("multiplicative group has no generator")
@@ -170,7 +179,9 @@ class FiniteField:
 
 
 def gf(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteField:
-    """Field of order p^e; built-in modulus for p^e <= 16, else user-supplied.
+    """Field of order p^e, modulo the supplied monic modulus of degree e or,
+    without one, the first irreducible x^e + t with the tails t taken in
+    code order sum(t_i p^i); that is x for e = 1.
 
     Raises NotIrreducible when a supplied modulus factors over GF(p), and
     TooLarge when p^e exceeds TABLE_ORDER_CAP, as no group table over the
@@ -188,19 +199,15 @@ def gf(p: int, e: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteFiel
         raise TooLarge(f"field order {p}^{_shown(e)} exceeds {TABLE_ORDER_CAP}")
     _check_order(p**e)
     if modulus is None:
-        if e == 1:
-            modulus = (0, 1)
-        elif (p, e) in BUILTIN_MODULI:
-            modulus = BUILTIN_MODULI[(p, e)]
-        else:
-            raise BadParameter(
-                f"no built-in modulus for GF({p}^{e}); supply an irreducible one"
-            )
-    modulus = tuple(c % p for c in modulus)
-    if len(modulus) != e + 1 or modulus[-1] != 1:
-        raise BadParameter("modulus must be monic of degree e")
-    if not _irreducible(modulus, p):
-        raise NotIrreducible(f"modulus {modulus} is reducible over GF({p})")
+        # an irreducible polynomial of every degree exists over GF(p)
+        monic = (_monic(t, p, e) for t in range(p**e))
+        modulus = next(m for m in monic if _irreducible(m, p))
+    else:
+        modulus = tuple(c % p for c in modulus)
+        if len(modulus) != e + 1 or modulus[-1] != 1:
+            raise BadParameter("modulus must be monic of degree e")
+        if not _irreducible(modulus, p):
+            raise NotIrreducible(f"modulus {modulus} is reducible over GF({p})")
     field = FiniteField(p, e, modulus)
     field.generator()  # cyclic multiplicative group, witnessed
     return field

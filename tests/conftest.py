@@ -442,8 +442,8 @@ def formula_elementary_abelian_table(p, k):
 
 def loop_field_tables(field):
     """Oracle for FiniteField.add_table and mul_table: the tables as they
-    were filled before the prime-field broadcast, one pair of codes at a
-    time through decode, polynomial arithmetic and encode."""
+    were once filled, one pair of codes at a time through decode, polynomial
+    arithmetic and encode, with no digit array and no exp/log pair."""
     q = field.order
     add = np.zeros((q, q), dtype=np.int32)
     mul = np.zeros((q, q), dtype=np.int32)

@@ -23,6 +23,7 @@ from groupcent import (
     gf,
     heisenberg,
     is_abelian,
+    is_prime,
     isomorphic,
     prime_power,
     quaternion8,
@@ -203,6 +204,23 @@ class TestFrobenius:
         with pytest.raises(BadParameter):
             smallest_frobenius_unit(7, 5)  # 5 does not divide 6
 
+    def test_wrong_order_message(self):
+        with pytest.raises(BadOrder, match=r"^r=3 has multiplicative order 6 mod 7, need 3$"):
+            constructions._check_frobenius(7, 3, 3)
+
+    def test_smallest_unit_matches_the_power_walk(self):
+        for q in filter(is_prime, range(200)):
+            orders = {}  # r -> multiplicative order mod q, walked power by power
+            for r in range(1, q):
+                k, x = 1, r
+                while x != 1:
+                    x, k = x * r % q, k + 1
+                orders[r] = k
+            for n in range(2, q):
+                if (q - 1) % n == 0:
+                    want = min(r for r, k in orders.items() if k == n)
+                    assert smallest_frobenius_unit(q, n) == want, (q, n)
+
     def test_fixed_point_freeness(self):
         g = frobenius_cq_cn(13, 4, 5)
         # no non-identity complement element commutes with a non-identity
@@ -303,7 +321,21 @@ class TestHeisenberg:
         with pytest.raises(BadParameter):
             heisenberg(gf(11))
 
-    @pytest.mark.parametrize("q", constructions.HEISENBERG_FIELD_ORDERS)
+    def test_field_orders_are_those_with_q_cubed_at_most_1024(self):
+        accepted = []
+        for q in filter(prime_power, range(2, 100)):
+            try:
+                constructions._check_heisenberg(*prime_power(q))
+            except BadParameter:
+                continue
+            accepted.append(q)
+        assert accepted == [2, 3, 4, 5, 7, 8, 9]
+        # 1331 and 4096 elements: the fields build, the groups are refused
+        for p, e in ((11, 1), (2, 4)):
+            with pytest.raises(BadParameter, match=rf"^field order {p}\^{e} not supported"):
+                heisenberg(gf(p, e))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_table_matches_digit_formula(self, q):
         field = gf(*prime_power(q))
         assert np.array_equal(heisenberg(field).table, formula_heisenberg_table(field))

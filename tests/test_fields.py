@@ -3,6 +3,7 @@
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from groupcent import gf
@@ -42,7 +43,9 @@ def test_gf9_modulus_irreducible():
     assert f.mul(x, x) == 2
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize(
+    "p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3), (5, 2)]
+)
 def test_field_axioms_and_cyclic_units(p, e):
     f = gf(p, e)
     q = f.order
@@ -70,8 +73,7 @@ def test_bad_parameters():
         gf(4, 1)
     with pytest.raises(BadParameter):
         gf(2, 0)
-    with pytest.raises(BadParameter):
-        gf(5, 2)  # no built-in modulus for order 25
+    assert gf(5, 2).order == 25  # built on the searched modulus
     with pytest.raises(BadParameter):
         gf(2, 2, modulus=(1, 1))  # wrong degree
 
@@ -115,29 +117,101 @@ def test_field_past_the_table_cap_is_too_large_at_once(args):
     assert time.perf_counter() - start < 1
 
 
+# the first irreducible x^e + t, tails t in code order; the first four were
+# once a table of built-in moduli
+@pytest.mark.parametrize(
+    "p,e,modulus",
+    [
+        (2, 2, (1, 1, 1)),
+        (2, 3, (1, 1, 0, 1)),
+        (2, 4, (1, 1, 0, 0, 1)),
+        (3, 2, (1, 0, 1)),
+        (2, 1, (0, 1)),
+        (3, 1, (0, 1)),
+        (65521, 1, (0, 1)),
+        (3, 3, (1, 2, 0, 1)),
+        (5, 2, (2, 0, 1)),
+    ],
+)
+def test_searched_modulus(p, e, modulus):
+    assert gf(p, e).modulus == modulus
+
+
+PRIMES = list(filter(is_prime, range(200)))
+EXTENSIONS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (2, 5)]
+
+
+def _formula_tables(p):
+    """GF(p)'s tables as add and multiply mod p in int64, stored as int32:
+    an oracle independent of the digit arrays and the exp/log pair."""
+    a = np.arange(p, dtype=np.int64)
+    return [(op.outer(a, a) % p).astype(np.int32) for op in (np.add, np.multiply)]
+
+
+def _assert_generator_is_walked(f, mul):
+    """The generator is the smallest a whose multiplicative order, walked
+    through the oracle table mul, is q - 1, and multiplicative_order agrees
+    with the walk at every unit. Building the field built no table."""
+    assert "mul_table" not in f.__dict__ and "add_table" not in f.__dict__
+    q = f.order
+    codes = np.arange(q)
+    orders = np.zeros(q, dtype=np.int64)
+    x = codes.copy()  # x[a] = a^k, all codes at once
+    for k in range(1, q):
+        orders[(x == 1) & (orders == 0)] = k
+        x = mul[x, codes]
+    assert f.generator() == int(np.flatnonzero(orders == q - 1)[0])
+    assert [f.multiplicative_order(a) for a in range(1, q)] == orders[1:].tolist()
+
+
+def _assert_tables_match(f, oracle):
+    for got, want in zip((f.add_table, f.mul_table), oracle):
+        assert got.dtype == want.dtype == np.int32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    assert all(f.mul(a, f.inv(a)) == 1 for a in range(1, f.order))
+
+
 def test_prime_field_generator_matches_the_table_walk():
-    # the smallest a whose multiplicative order, walked through mul_table,
-    # is p - 1
-    for p in filter(is_prime, range(200)):
+    for p in PRIMES:
+        _assert_generator_is_walked(gf(p), _formula_tables(p)[1])
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS)
+def test_extension_field_generator_matches_the_table_walk(p, e):
+    f = gf(p, e)
+    _assert_generator_is_walked(f, loop_field_tables(f)[1])
+
+
+def test_prime_field_tables_are_byte_identical_to_the_loop():
+    # the mod p formula for every prime below 200, and the polynomial loop,
+    # which costs O(q^2) Python steps, below 30; the tables are q x q, so
+    # tests keep q small (at q = 65521 the int64 outer product alone would
+    # take 34 GB)
+    for p in PRIMES:
         f = gf(p)
-        assert "mul_table" not in f.__dict__, p
-        walked = next(a for a in range(1, p) if f.multiplicative_order(a) == p - 1)
-        assert f.generator() == walked, p
+        _assert_tables_match(f, _formula_tables(p))
+        if p < 30:
+            _assert_tables_match(f, loop_field_tables(f))
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS)
+def test_extension_field_tables_are_byte_identical_to_the_loop(p, e):
+    f = gf(p, e)
+    _assert_tables_match(f, loop_field_tables(f))
 
 
 def test_largest_prime_field_builds_no_table():
+    start = time.perf_counter()
     f = gf(65521)
+    assert time.perf_counter() - start < 0.1
     assert f.generator() == 17
     assert "mul_table" not in f.__dict__ and "add_table" not in f.__dict__
 
 
-def test_prime_field_tables_are_byte_identical_to_the_loop():
-    # the broadcast tables, taken mod p in int64 and stored as int32, for
-    # every prime below 200; the tables are q x q, so tests keep q small
-    # (at q = 65521 the int64 outer product alone would take 34 GB)
-    for p in filter(is_prime, range(200)):
-        f = gf(p)
-        for got, want in zip((f.add_table, f.mul_table), loop_field_tables(f)):
-            assert got.dtype == want.dtype and got.shape == want.shape, p
-            assert got.tobytes() == want.tobytes(), p
-            assert not got.flags.writeable, p
+def test_field_of_order_4096_builds_no_table():
+    start = time.perf_counter()
+    f = gf(2, 12)
+    assert time.perf_counter() - start < 0.1
+    assert f.modulus == (1, 0, 0, 1) + (0,) * 8 + (1,)  # x^12 + x^3 + 1
+    assert "mul_table" not in f.__dict__ and "add_table" not in f.__dict__
