@@ -1,20 +1,19 @@
 """Builders for the group families used throughout the catalog.
 
 Every builder routes its table through ``from_table`` validation, so a value
-returned from here is a checked group, not just a plausible one. Tables are
-stored as uint16; a builder whose order exceeds ``TABLE_ORDER_CAP`` raises
-TooLarge before it allocates its n x n array. ``elementary_abelian``,
-``dihedral`` and ``semidirect`` write uint16 directly, and ``cyclic`` hands
-``from_table`` a uint16 view; ``heisenberg``, ``quaternion8`` and the
-permutation builders keep a wider dtype and let ``from_table`` cast.
+returned from here is a checked group, not just a plausible one. Every
+builder but ``quaternion8`` writes its table in uint16 (``cyclic`` as a view).
 
 Each spec family's parameter domain is one private ``_check_*`` function,
-the first step of its builder. The spec parser runs the same function on a
-builtin part, so a bad argument is rejected before anything is built.
+the first step of its builder: it passes the order of the group to
+``core._check_order``, the one size rule. The spec parser runs the same
+function on a builtin part, so a bad argument, or a group over the table
+budget, is rejected before anything is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +41,6 @@ from .errors import (
     TooLarge,
 )
 from .fields import FiniteField, gf
-
-PERMUTATION_CLOSURE_CAP = 10000
 
 
 def _check_cyclic(n: int) -> None:
@@ -140,30 +137,14 @@ def quaternion8() -> FiniteGroup:
     return from_table(table, name="Q8")
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def _tabulate_permutations(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    """Table of a sorted list of permutations closed under composition.
-
-    ``P[:, P]`` composes every pair at once (a then b gives a[b]). Each row,
-    read as big-endian unsigned bytes, is one string that sorts as its tuple
-    does, so ``searchsorted`` on the sorted list ranks the composites.
-    """
-    d = len(perms[0])
-    P = np.array(perms, dtype=np.min_scalar_type(d).newbyteorder(">"))
-    m = P.shape[0]
-    row = np.dtype((np.void, P.itemsize * d))
-    keys = P.view(row).ravel()
-    table = np.searchsorted(keys, np.ascontiguousarray(P[:, P]).view(row).reshape(m, m))
-    return from_table(table, name=name)
-
-
-def _check_degree(n: int) -> None:
-    """The degrees of ``symmetric`` and ``alternating``."""
-    if not 1 <= n <= 5:
-        raise BadParameter(f"symmetric and alternating groups supported for degree 1..5, got {n}")
+def _check_degree(n: int, index: int = 1) -> None:
+    """The degree of ``symmetric``, or with index 2 of ``alternating``, whose
+    order is n!/index; n meets the cap's bit length before the factorial."""
+    if n < 1:
+        raise BadParameter(f"degree must be >= 1, got {n}")
+    if n > TABLE_ORDER_CAP.bit_length():
+        raise TooLarge(f"degree {_shown(n)} gives an order above {TABLE_ORDER_CAP}")
+    _check_order(max(1, math.factorial(n) // index))
 
 
 def _cycle(n: int, i: int, k: int) -> list[int]:
@@ -179,7 +160,7 @@ def symmetric(n: int) -> FiniteGroup:
 
 def alternating(n: int) -> FiniteGroup:
     """A_n, the closure of the 3-cycles (i i+1 i+2)."""
-    _check_degree(n)
+    _check_degree(n, 2)
     return from_permutations(n, [_cycle(n, i, 3) for i in range(n - 2)], name=f"A{n}")
 
 
@@ -230,13 +211,14 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
 
 
 def _check_frobenius(q: int, n: int, r: int) -> None:
-    # the kernel C_q meets the cap before the primality test, which takes up
-    # to sqrt(q) steps, and the order of r over GF(q)
+    # q and then the order q n meet the cap before the primality test, which
+    # takes up to sqrt(q) steps, and the order of r over GF(q)
     _check_order(q)
-    if not is_prime(q):
-        raise BadParameter(f"kernel order {q} must be prime")
     if n < 2:
         raise BadParameter("complement order must be >= 2")
+    _check_order(q * n)
+    if not is_prime(q):
+        raise BadParameter(f"kernel order {q} must be prime")
     if r % q == 0:
         raise BadOrder(f"r={r} is not a unit mod {q}")
     k = gf(q).multiplicative_order(r % q)
@@ -311,8 +293,11 @@ def central_product(
 def _check_extraspecial2(a: int, variant: str) -> None:
     if variant not in ("plus", "minus"):
         raise BadParameter(f"variant must be 'plus' or 'minus', got {variant!r}")
-    if not 1 <= a <= 4:
-        raise BadParameter("supported sizes are a = 1..4 (orders 8..512)")
+    if a < 1:
+        raise BadParameter(f"a must be >= 1, got {a}")
+    if a > TABLE_ORDER_CAP.bit_length():
+        raise TooLarge(f"order 2^(2 * {_shown(a)} + 1) exceeds {TABLE_ORDER_CAP}")
+    _check_order(2 ** (2 * a + 1))
 
 
 def extraspecial2(a: int, variant: str) -> FiniteGroup:
@@ -328,13 +313,13 @@ def extraspecial2(a: int, variant: str) -> FiniteGroup:
 
 def _check_heisenberg(p: int, e: int) -> None:
     """The field GF(p^e) of ``heisenberg``, checked before it is built."""
-    # the size test first: a huge p fails it without a trial division;
-    # before it, e meets the cap's bit length, so p**e stays small
-    in_range = 1 <= e <= TABLE_ORDER_CAP.bit_length()
-    if not in_range or (p**e) ** 3 > 1024 or not is_prime(p):
-        raise BadParameter(
-            f"field order {p}^{e} not supported; need a prime p and q = p^e with q^3 <= 1024"
-        )
+    # p meets the cap before the primality test, and e the cap's bit length
+    # before the order q^3 is raised
+    _check_order(p)
+    if not (1 <= e <= TABLE_ORDER_CAP.bit_length() and is_prime(p)):
+        raise BadParameter(f"field order {p}^{_shown(e)} not supported: need a prime p "
+                           f"and 1 <= e <= {TABLE_ORDER_CAP.bit_length()}")
+    _check_order(p ** (3 * e))
 
 
 def heisenberg(field: FiniteField) -> FiniteGroup:
@@ -342,7 +327,8 @@ def heisenberg(field: FiniteField) -> FiniteGroup:
     order q. Triples (a, b, c) multiply as (a+a', b+b', c+c'+a*b')."""
     _check_heisenberg(field.p, field.e)
     q = field.order
-    add, mul = field.add_table, field.mul_table
+    # in uint16: no entry exceeds q^3 - 1
+    add, mul = field.add_table.astype(np.uint16), field.mul_table.astype(np.uint16)
     # one axis per digit of the two factors: (a, b, c, a', b', c')
     a3 = add[:, None, None, :, None, None]
     b3 = add[None, :, None, None, :, None]
@@ -353,8 +339,11 @@ def heisenberg(field: FiniteField) -> FiniteGroup:
 
 
 def from_permutations(degree: int, generators, name: str | None = None) -> FiniteGroup:
-    """Group generated by permutations of {0..degree-1}, tabulated after
-    closure; TooLarge above the enumeration cap."""
+    """Group generated by permutations of {0..degree-1}, numbered by the rank
+    of their tuples; the product of a and b is the tuple a[b]. The closure
+    finds each element y as g y' for a generator g and an element y' found
+    before it, and stops at the table budget through ``_check_order``. Row y
+    is then g's left multiplication, from ranks to ranks, gathered at row y'."""
     if degree < 1:
         raise BadParameter("degree must be >= 1")
     gens: list[tuple[int, ...]] = []
@@ -364,17 +353,25 @@ def from_permutations(degree: int, generators, name: str | None = None) -> Finit
             raise NotAPermutation(f"{p} is not a permutation of 0..{degree - 1}")
         gens.append(p)
 
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = _compose(x, g)
-            if y not in seen:
-                if len(seen) >= PERMUTATION_CLOSURE_CAP:
-                    raise TooLarge(f"closure exceeds {PERMUTATION_CLOSURE_CAP} elements")
-                seen.add(y)
-                frontier.append(y)
-    perms = sorted(seen)
-    return _tabulate_permutations(perms, name=name or f"P{degree}({len(perms)})")
+    perms = [tuple(range(degree))]
+    index = {perms[0]: 0}
+    parents: list[tuple[int, int]] = [(0, 0)]  # (y', s) with y = gens[s] y'
+    by_gen: list[list[int]] = [[] for _ in gens]  # by_gen[s][x] is gens[s] x
+    for x, p in enumerate(perms):  # perms grows as the loop runs
+        for s, g in enumerate(gens):
+            y = tuple(map(g.__getitem__, p))
+            if y not in index:
+                index[y] = len(perms)
+                perms.append(y)
+                parents.append((x, s))
+            by_gen[s].append(index[y])
+        _check_order(len(perms))
+    m = len(perms)
+    ranked = np.array(sorted(range(m), key=perms.__getitem__))  # ranked[r] has rank r
+    rank = np.argsort(ranked).astype(np.uint16)
+    left = rank[np.array(by_gen, dtype=np.intp).reshape(len(gens), m)[:, ranked]]  # on ranks
+    table = np.empty((m, m), dtype=np.uint16)
+    table[0] = np.arange(m)  # the identity sorts first
+    for y, (parent, s) in enumerate(parents[1:], start=1):
+        table[rank[y]] = left[s, table[rank[parent]]]
+    return from_table(table, name=name or f"P{degree}({m})")

@@ -31,8 +31,10 @@ from .errors import (
 # call it: they recognize groups from invariants, with no order cap.
 ISOMORPHISM_ORDER_CAP = 512
 
-# Tables hold uint16 element indices, so no group is larger than this.
-TABLE_ORDER_CAP = int(np.iinfo(np.uint16).max)
+# The one size rule: a uint16 table of this order takes 512 MiB. A build plus
+# analyze peaks at about 5.5 times its table (D16384 2.85 GB, E8192 2.87 GB,
+# Heis(25) 3.06 GB on a 2 vCPU, 8 GB machine), so 2^15 would need ~11 GB.
+TABLE_ORDER_CAP = 2**14
 
 
 def _shown(v: int) -> str:
@@ -41,8 +43,8 @@ def _shown(v: int) -> str:
 
 
 def _check_order(n: int) -> int:
-    """n, unless a group of order n would not fit a uint16 table: then
-    TooLarge. Every builder calls it before it allocates its n x n array."""
+    """n, unless the table of a group of order n is over the budget: then
+    TooLarge. Every builder and family check calls it before it allocates."""
     if n > TABLE_ORDER_CAP:
         raise TooLarge(
             f"order {_shown(n)} exceeds {TABLE_ORDER_CAP}: "
@@ -63,8 +65,8 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 with a dense product table.
 
     ``table[i, j]`` is the index of the product of element i by element j.
-    ``table`` and ``inverses`` are read-only uint16 arrays, so the order is
-    at most TABLE_ORDER_CAP and the table takes 2 n^2 bytes. Their values
+    ``table`` and ``inverses`` are read-only uint16 arrays, the order is at
+    most TABLE_ORDER_CAP and the table takes 2 n^2 bytes. Their values
     are unsigned 16-bit: arithmetic on them must not subtract or pass 65535
     without widening first. The identity is wherever validation finds it,
     not pinned to index 0.

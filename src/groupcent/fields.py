@@ -4,9 +4,9 @@ Elements are encoded as integers 0..p^e-1 whose base-p digits are the
 coefficients of a polynomial over GF(p), reduced by an irreducible monic
 modulus: unless one is supplied, the first x^e + t with the tails t in code
 order. Multiplicative orders and the generator come from the prime factors
-of p^e - 1 by square-and-multiply, so building a field builds no table. The
-dense add and multiplication tables are built on first use, from base-p
-digit arrays and from one exp/log pair of the generator.
+of p^e - 1 by square-and-multiply, so building a field builds no table, and
+neither do ``add`` and ``mul``, which read base-p digits and one exp/log pair
+of the generator. The dense q x q tables are built on first use from those.
 """
 
 from __future__ import annotations
@@ -141,10 +141,11 @@ class FiniteField:
         return tuple(inv.tolist())
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+        exp, log = self._exp_log
+        return int(exp[(log[a] + log[b]) % (self.order - 1)]) if a and b else 0
 
     def neg(self, a: int) -> int:
         return self.encode([-c for c in self.decode(a)])

@@ -63,7 +63,7 @@ _FAMILIES: dict[str, tuple[Callable[..., FiniteGroup], Callable[..., None], tupl
     "dihedral": (cons.dihedral, cons._check_dihedral, (int,)),
     "quaternion8": (cons.quaternion8, lambda: None, ()),
     "symmetric": (cons.symmetric, cons._check_degree, (int,)),
-    "alternating": (cons.alternating, cons._check_degree, (int,)),
+    "alternating": (cons.alternating, lambda n: cons._check_degree(n, 2), (int,)),
     "extraspecial2": (cons.extraspecial2, cons._check_extraspecial2, (int, str)),
     "heisenberg": (lambda p, e: cons.heisenberg(gf(p, e)), cons._check_heisenberg, (int, int)),
     "frobenius": (cons.frobenius_cq_cn, cons._check_frobenius, (int, int, int)),

@@ -262,6 +262,21 @@ def loop_tabulate_permutations(perms):
     return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
 
 
+def loop_permutation_closure(degree, gens):
+    """Oracle for the elements of from_permutations: every product of the
+    generators, found by composing one more at a time, sorted."""
+    seen = {tuple(range(degree))}
+    stack = list(seen)
+    while stack:
+        a = stack.pop()
+        for g in gens:
+            b = tuple(a[g[i]] for i in range(degree))
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return sorted(seen)
+
+
 def enumerated_permutations(n, even_only=False):
     """Oracle for the element lists of symmetric and alternating: every
     permutation of 0..n-1 from itertools, sorted, keeping only those with an

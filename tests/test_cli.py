@@ -43,6 +43,7 @@ from groupcent.errors import (
     InvariantViolation,
     NotAGroup,
     SpecParseError,
+    TooLarge,
     UnknownFamily,
 )
 
@@ -98,9 +99,10 @@ FAMILY_DOMAINS = {
         extraspecial2,
         [(1, "plus"), (2, "minus"), (0, "plus"), (5, "minus"), (2, "both"), (1, "Plus")],
     ),
+    # (3, 3): GF(27) builds, and Heis(27) is over the table budget
     "heisenberg": (
         lambda p, e: heisenberg(gf(p, e)),
-        [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (4, 1), (5, 2), (11, 1), (2, 0), (1, 1), (-2, 2)],
+        [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (4, 1), (3, 3), (11, 1), (2, 0), (1, 1), (-2, 2)],
     ),
     "frobenius": (
         frobenius_cq_cn,
@@ -124,6 +126,12 @@ class TestFamilyDomains:
         builder = FAMILY_DOMAINS[family][0]
         try:
             built = builder(*args)
+        except TooLarge as exc:
+            # a group over the table budget is refused at parse with the same error
+            with pytest.raises(TooLarge) as info:
+                parse_spec(":".join(["builtin", family, *map(str, args)]))
+            assert str(info.value) == str(exc)
+            return
         except (BadParameter, BadOrder) as exc:
             built, message = None, str(exc)
         text = ":".join(["builtin", family, *map(str, args)])
@@ -196,17 +204,24 @@ class TestFamilyDomains:
     @pytest.mark.parametrize(
         "spec,message",
         [
-            ("builtin:cyclic:" + "9" * 3000, "order 2^9965 or more exceeds 65535: its uint16 table "
+            ("builtin:cyclic:" + "9" * 3000, "order 2^9965 or more exceeds 16384: its uint16 table "
              "would take 2^19932 or more bytes"),
-            ("builtin:dihedral:" + "9" * 3000 + "8", "order 2^9969 or more exceeds 65535"),
-            ("builtin:elementary_abelian:3:1000000", "order 3^1000000 exceeds 65535"),
-            ("builtin:elementary_abelian:3:100000000", "order 3^100000000 exceeds 65535"),
+            ("builtin:dihedral:" + "9" * 3000 + "8", "order 2^9969 or more exceeds 16384"),
+            ("builtin:elementary_abelian:3:1000000", "order 3^1000000 exceeds 16384"),
+            ("builtin:elementary_abelian:3:100000000", "order 3^100000000 exceeds 16384"),
             ("builtin:heisenberg:3:100000000", "field order 3^100000000 not supported"),
             # 2^61 - 1 is prime: no trial division, even for a group of order 1
             ("builtin:elementary_abelian:2305843009213693951:0", "order 2305843009213693951 exceeds"),
             ("builtin:frobenius:2305843009213693951:2:3", "order 2305843009213693951 exceeds"),
+            # each family's order meets the budget at parse, before anything is built
+            ("builtin:symmetric:8", "order 40320 exceeds 16384"),
+            ("builtin:alternating:8", "order 20160 exceeds 16384"),
+            ("builtin:extraspecial2:7:plus", "order 32768 exceeds 16384"),
+            ("builtin:heisenberg:3:3", "order 19683 exceeds 16384"),
+            ("builtin:frobenius:16381:4095:5", "order 67080195 exceeds 16384"),
         ],
-        ids=["cyclic", "dihedral", "ea_1e6", "ea_1e8", "heisenberg", "ea_prime", "frobenius"],
+        ids=["cyclic", "dihedral", "ea_1e6", "ea_1e8", "heisenberg", "ea_prime", "frobenius",
+             "symmetric_8", "alternating_8", "extraspecial2_7", "heisenberg_27", "frobenius_16381"],
     )
     def test_argument_past_the_cap_exits_3_at_once(self, capsys, spec, message):
         # compared with the table cap before a power, a primality test or

@@ -31,7 +31,7 @@ from groupcent import (
     smallest_frobenius_unit,
     symmetric,
 )
-from groupcent import constructions
+from groupcent import constructions, core
 from groupcent.errors import (
     BadOrder,
     BadParameter,
@@ -49,6 +49,7 @@ from conftest import (
     formula_heisenberg_table,
     formula_semidirect_table,
     loop_element_orders,
+    loop_permutation_closure,
     loop_tabulate_permutations,
 )
 
@@ -92,8 +93,10 @@ class TestNamedFamilies:
             dihedral(bad)
 
     def test_symmetric_degree_cap(self):
-        with pytest.raises(BadParameter):
-            symmetric(6)
+        # the table budget admits S7 (order 5040) and refuses S8 (40320)
+        assert (symmetric(6).order, symmetric(7).order) == (720, 5040)
+        with pytest.raises(TooLarge):
+            symmetric(8)
 
     def test_elementary_abelian_needs_prime(self):
         with pytest.raises(BadParameter):
@@ -104,7 +107,7 @@ class TestNamedFamilies:
         assert np.array_equal(cyclic(n).table, formula_cyclic_table(n))
 
     @pytest.mark.parametrize(
-        "p,k", [(2, 0), (2, 1), (2, 7), (3, 1), (3, 4), (5, 2), (7, 2), (11, 1), (65521, 0)]
+        "p,k", [(2, 0), (2, 1), (2, 7), (3, 1), (3, 4), (5, 2), (7, 2), (11, 1), (16381, 0)]
     )
     def test_elementary_abelian_matches_digit_formula(self, p, k):
         assert np.array_equal(elementary_abelian(p, k).table, formula_elementary_abelian_table(p, k))
@@ -283,8 +286,10 @@ class TestExtraspecial2:
         assert (plus, minus) == (19, 11)
 
     def test_bad_parameters(self):
-        with pytest.raises(BadParameter):
-            extraspecial2(5, "plus")
+        # order 2^15 is over the table budget, 2^11 is not
+        with pytest.raises(TooLarge):
+            extraspecial2(7, "plus")
+        assert extraspecial2(5, "plus").order == 2048
         with pytest.raises(BadParameter):
             extraspecial2(2, "both")
 
@@ -318,22 +323,19 @@ class TestHeisenberg:
         assert sizes == {16}  # q^2
 
     def test_unsupported_field_order(self):
-        with pytest.raises(BadParameter):
-            heisenberg(gf(11))
+        # GF(27) builds; Heis(27), of order 19683, is over the table budget
+        with pytest.raises(TooLarge, match="^order 19683 exceeds"):
+            heisenberg(gf(3, 3))
 
-    def test_field_orders_are_those_with_q_cubed_at_most_1024(self):
+    def test_field_orders_are_those_within_the_table_budget(self):
         accepted = []
         for q in filter(prime_power, range(2, 100)):
             try:
                 constructions._check_heisenberg(*prime_power(q))
-            except BadParameter:
+            except TooLarge:
                 continue
             accepted.append(q)
-        assert accepted == [2, 3, 4, 5, 7, 8, 9]
-        # 1331 and 4096 elements: the fields build, the groups are refused
-        for p, e in ((11, 1), (2, 4)):
-            with pytest.raises(BadParameter, match=rf"^field order {p}\^{e} not supported"):
-                heisenberg(gf(p, e))
+        assert accepted == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_table_matches_digit_formula(self, q):
@@ -357,28 +359,20 @@ class TestFromPermutations:
         with pytest.raises(NotAPermutation):
             from_permutations(3, [(0, 0, 2)])
 
-    def test_tables_match_loop_oracle(self, monkeypatch):
-        tabulated = []
-        inner = constructions._tabulate_permutations
-
-        def recording(perms, name):
-            g = inner(perms, name)
-            tabulated.append((perms, g))
-            return g
-
-        monkeypatch.setattr(constructions, "_tabulate_permutations", recording)
+    def test_tables_match_loop_oracle(self):
+        cases = []
         for n in range(1, 6):
-            symmetric(n)
-            alternating(n)
+            cases.append((n, [constructions._cycle(n, i, 2) for i in range(n - 1)]))
+            cases.append((n, [constructions._cycle(n, i, 3) for i in range(n - 2)]))
         # the Frobenius group of order 21 acting on 7 points
-        from_permutations(7, [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)])
-        # points above 255 take two bytes, so byte order decides the ranks
+        cases.append((7, [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)]))
+        # points above 255, whose ranks a byte-wise order would get wrong
         cycle = list(range(260))
         cycle[0], cycle[256], cycle[1], cycle[259] = 256, 1, 259, 0
-        from_permutations(260, [cycle])
-        assert [g.order for _, g in tabulated] == [1, 1, 2, 1, 6, 3, 24, 12, 120, 60, 21, 4]
-        for perms, g in tabulated:
-            assert perms == sorted(perms)
+        cases.append((260, [cycle]))
+        groups = [(from_permutations(n, gens), loop_permutation_closure(n, gens)) for n, gens in cases]
+        assert [g.order for g, _ in groups] == [1, 1, 2, 1, 6, 3, 24, 12, 120, 60, 21, 4]
+        for g, perms in groups:
             assert np.array_equal(g.table, loop_tabulate_permutations(perms)), g.name
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -389,16 +383,23 @@ class TestFromPermutations:
             want = loop_tabulate_permutations(enumerated_permutations(n, even_only))
             assert np.array_equal(g.table, want), g.name
 
-    def test_closure_cap(self):
-        import groupcent.constructions as cons
+    def test_closure_cap(self, monkeypatch):
+        # the closure stops at the table budget, whatever it is
+        monkeypatch.setattr(core, "TABLE_ORDER_CAP", 10)
+        with pytest.raises(TooLarge, match=r"^order 1\d exceeds 10:"):
+            from_permutations(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
 
-        old = cons.PERMUTATION_CLOSURE_CAP
-        cons.PERMUTATION_CLOSURE_CAP = 10
+    def test_long_cycle_allocates_little_beyond_its_table(self):
+        # 255 elements on 256 points: a 130 KB table, and no m x m x d array
+        cycle = [*range(1, 255), 0, 255]
+        tracemalloc.start()
         try:
-            with pytest.raises(TooLarge):
-                from_permutations(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+            g = from_permutations(256, [cycle])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            cons.PERMUTATION_CLOSURE_CAP = old
+            tracemalloc.stop()
+        assert g.order == 255
+        assert peak < 4 * 2**20, peak
 
 
 def test_every_builder_output_revalidates():

@@ -45,6 +45,10 @@ from groupcent import (
     symmetric,
     alternating,
     elementary_abelian,
+    extraspecial2,
+    frobenius_cq_cn,
+    gf,
+    heisenberg,
 )
 from groupcent import core
 from groupcent.cli import build_analysis
@@ -213,17 +217,25 @@ class TestOrderCap:
     @pytest.mark.parametrize(
         "setup,match",
         [
-            # a zero-memory view of a 65536 x 65536 table
-            (lambda: partial(from_table, np.broadcast_to(np.zeros((1, 1), np.uint8), (65536, 65536))),
-             "order 65536 .* 8589934592 bytes"),
-            (lambda: partial(cyclic, 65536), "order 65536"),
-            (lambda: partial(dihedral, 65536), "order 65536"),
-            (lambda: partial(elementary_abelian, 2, 16), "order 65536"),
-            (lambda: partial(direct_product, cyclic(256), cyclic(257)), "order 65792"),
-            (lambda: partial(semidirect, ActionSpec(cyclic(256), cyclic(257), ())), "order 65792"),
+            # a zero-memory view of a 16385 x 16385 table
+            (lambda: partial(from_table, np.broadcast_to(np.zeros((1, 1), np.uint8), (16385, 16385))),
+             "order 16385 .* 536936450 bytes"),
+            (lambda: partial(cyclic, 16385), "order 16385"),
+            (lambda: partial(dihedral, 16386), "order 16386"),
+            (lambda: partial(elementary_abelian, 2, 15), "order 32768"),
+            (lambda: partial(direct_product, cyclic(128), cyclic(129)), "order 16512"),
+            (lambda: partial(semidirect, ActionSpec(cyclic(128), cyclic(129), ())), "order 16512"),
+            # each family check computes its order before the builder builds
+            (lambda: partial(symmetric, 8), "order 40320"),
+            (lambda: partial(alternating, 8), "order 20160"),
+            (lambda: partial(extraspecial2, 7, "plus"), "order 32768"),
+            (lambda: partial(heisenberg, gf(3, 3)), "order 19683"),
+            # 10 has order 103 mod 1031: refused before the action and C1031 are built
+            (lambda: partial(frobenius_cq_cn, 1031, 103, 10), "order 106193"),
         ],
         ids=["from_table_view", "cyclic", "dihedral", "elementary_abelian",
-             "direct_product", "semidirect"],
+             "direct_product", "semidirect", "symmetric", "alternating",
+             "extraspecial2", "heisenberg", "frobenius"],
     )
     def test_raised_before_allocating(self, setup, match):
         build = setup()
@@ -237,13 +249,13 @@ class TestOrderCap:
         assert peak < 2**20, peak
 
     def test_largest_order_passes_the_check(self):
-        assert core._check_order(core.TABLE_ORDER_CAP) == 65535
+        assert core._check_order(core.TABLE_ORDER_CAP) == 16384
 
     def test_order_too_long_to_print_is_named_by_a_power_of_two(self):
         # str() of an int above 4300 digits raises ValueError
         with pytest.raises(TooLarge) as info:
             core._check_order(10**5000)
-        want = "order 2^16609 or more exceeds 65535: its uint16 table would take 2^33220 or more bytes"
+        want = "order 2^16609 or more exceeds 16384: its uint16 table would take 2^33220 or more bytes"
         assert str(info.value) == want
 
 
@@ -331,7 +343,7 @@ class TestCenterAndCentralizer:
         b = rng.random((40, 50)) < 0.5
         assert np.array_equal(core._row_counts(b[::3, ::2]), b[::3, ::2].sum(axis=1))
         full = np.ones((1, core.TABLE_ORDER_CAP), dtype=bool)
-        assert core._row_counts(full).tolist() == full.sum(axis=1).tolist() == [65535]
+        assert core._row_counts(full).tolist() == full.sum(axis=1).tolist() == [16384]
 
     def test_center_is_intersection_of_centralizers(self):
         for g in (symmetric(4), quaternion8(), dihedral(12)):

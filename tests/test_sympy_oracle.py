@@ -3,7 +3,9 @@
 sympy is not a dependency of groupcent; the module is skipped without it.
 Each group is handed to sympy as its right regular representation, the
 permutations x -> xg for g in a generating set, and sympy's own center,
-derived subgroup and nilpotency decide the expected values.
+derived subgroup and nilpotency decide the expected values. S6 and A6 are
+compared with sympy's own groups on 6 points: their regular representations
+would compose 720^3 entries.
 """
 
 import numpy as np
@@ -32,6 +34,7 @@ from groupcent.core import _generators
 
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
+from sympy.combinatorics.named_groups import AlternatingGroup, SymmetricGroup  # noqa: E402
 
 MAX_ORDER = 96
 
@@ -91,3 +94,15 @@ def test_core_numbers_match_sympy(g):
     assert is_nilpotent(g) == P.is_nilpotent
     n = sympy_cent_count(P)
     assert n == (1 if is_abelian(g) else cent_count(g))
+
+
+@pytest.mark.parametrize(
+    "build,sympy_build,want",
+    [(symmetric, SymmetricGroup, 317), (alternating, AlternatingGroup, 137)],
+    ids=["S6", "A6"],
+)
+def test_degree_six_matches_sympy(build, sympy_build, want):
+    g, P = build(6), sympy_build(6)
+    assert P.order() == g.order
+    assert center(g).order == P.center().order() == 1
+    assert cent_count(g) == sympy_cent_count(P) == want

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +42,10 @@ from groupcent import (
     symmetric,
 )
 from groupcent.analytics import ConjugateTypeReport
-from groupcent.cli import build_analysis
+from groupcent.cli import _load_catalog_file, build_analysis
 from groupcent.checks import DEFAULT_SEED, _known_family, _pair_verdict, _quotient_is_elementary, check_ids
 from groupcent.errors import InvariantViolation, UnknownCheckId
+from groupcent.specs import parse_spec
 
 from conftest import (
     LOOP_CHECKS,
@@ -756,6 +758,17 @@ class TestCatalog:
             "S3xS3", "C6xA5", "D8xC2", "C12", "C2^3", "C15",
         ):
             assert required in names
+
+    def test_extended_catalog_file_parses(self):
+        # the opt-in catalog of groups above the default catalog's orders;
+        # every spec is within its family's domain and the table budget
+        path = Path(__file__).resolve().parents[1] / "catalogs" / "extended.json"
+        entries = _load_catalog_file(str(path))
+        assert [e.name for e in entries] == [
+            "S6", "A6", "A7", "S7", "Heis(11)", "Heis(13)", "Heis(16)", "E2048+", "E2048-",
+        ]
+        for entry in entries:
+            parse_spec(entry.builder_spec)
 
 
 class TestSuite:
