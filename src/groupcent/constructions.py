@@ -5,10 +5,10 @@ returned from here is a checked group, not just a plausible one. Every
 builder but ``quaternion8`` writes its table in uint16 (``cyclic`` as a view).
 
 Each spec family's parameter domain is one private ``_check_*`` function,
-the first step of its builder: it passes the order of the group to
-``core._check_order``, the one size rule. The spec parser runs the same
-function on a builtin part, so a bad argument, or a group over the table
-budget, is rejected before anything is built.
+the first step of its builder: it returns the order of the group through
+``core._check_order``, the one size rule. The spec parser runs it on each
+builtin part and checks the product of the orders, so a bad argument, or a
+group over the table budget, is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ from .errors import (
 from .fields import FiniteField, gf
 
 
-def _check_cyclic(n: int) -> None:
+def _check_cyclic(n: int) -> int:
     if n < 1:
         raise BadParameter("cyclic group order must be >= 1")
+    return _check_order(n)
 
 
 def _cyclic_table(n: int) -> np.ndarray:
@@ -57,11 +58,10 @@ def _cyclic_table(n: int) -> np.ndarray:
 
 def cyclic(n: int) -> FiniteGroup:
     _check_cyclic(n)
-    _check_order(n)
     return from_table(_cyclic_table(n), name=f"C{n}")
 
 
-def _check_elementary_abelian(p: int, k: int) -> None:
+def _check_elementary_abelian(p: int, k: int) -> int:
     # p and k meet the cap before the primality test and the power: a table
     # holds no C_p with p above it, and p^k passes it once k passes 16
     _check_order(p)
@@ -71,7 +71,7 @@ def _check_elementary_abelian(p: int, k: int) -> None:
         raise BadParameter("exponent must be >= 0")
     if k > TABLE_ORDER_CAP.bit_length():
         raise TooLarge(f"order {p}^{_shown(k)} exceeds {TABLE_ORDER_CAP}")
-    _check_order(p**k)
+    return _check_order(p**k)
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -90,15 +90,15 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     return from_table(table, name=name)
 
 
-def _check_dihedral(two_n: int) -> None:
+def _check_dihedral(two_n: int) -> int:
     if two_n % 2 != 0 or two_n < 6:
         raise BadParameter(f"dihedral order must be even and >= 6, got {two_n}")
+    return _check_order(two_n)
 
 
 def dihedral(two_n: int) -> FiniteGroup:
     """Dihedral group of order two_n (rotations first, then reflections)."""
     _check_dihedral(two_n)
-    _check_order(two_n)
     # Element f * half + i is s^f r^i, and s^f1 r^i1 s^f2 r^i2 is
     # s^(f1 ^ f2) r^(i2 + i1) when f2 = 0 and r^(i2 + half - i1) when f2 = 1.
     # Built in place in uint16: no sum exceeds two_n - 1, and none is negative.
@@ -137,14 +137,14 @@ def quaternion8() -> FiniteGroup:
     return from_table(table, name="Q8")
 
 
-def _check_degree(n: int, index: int = 1) -> None:
+def _check_degree(n: int, index: int = 1) -> int:
     """The degree of ``symmetric``, or with index 2 of ``alternating``, whose
     order is n!/index; n meets the cap's bit length before the factorial."""
     if n < 1:
         raise BadParameter(f"degree must be >= 1, got {n}")
     if n > TABLE_ORDER_CAP.bit_length():
         raise TooLarge(f"degree {_shown(n)} gives an order above {TABLE_ORDER_CAP}")
-    _check_order(max(1, math.factorial(n) // index))
+    return _check_order(max(1, math.factorial(n) // index))
 
 
 def _cycle(n: int, i: int, k: int) -> list[int]:
@@ -210,7 +210,7 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
     return from_table(table, name=name or f"{K.name}:{H.name}")
 
 
-def _check_frobenius(q: int, n: int, r: int) -> None:
+def _check_frobenius(q: int, n: int, r: int) -> int:
     # q and then the order q n meet the cap before the primality test, which
     # takes up to sqrt(q) steps, and the order of r over GF(q)
     _check_order(q)
@@ -224,6 +224,7 @@ def _check_frobenius(q: int, n: int, r: int) -> None:
     k = gf(q).multiplicative_order(r % q)
     if k != n:
         raise BadOrder(f"r={r} has multiplicative order {k} mod {q}, need {n}")
+    return q * n
 
 
 def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
@@ -290,14 +291,14 @@ def central_product(
     return renamed(result.quotient, f"{A.name}o{B.name}")
 
 
-def _check_extraspecial2(a: int, variant: str) -> None:
+def _check_extraspecial2(a: int, variant: str) -> int:
     if variant not in ("plus", "minus"):
         raise BadParameter(f"variant must be 'plus' or 'minus', got {variant!r}")
     if a < 1:
         raise BadParameter(f"a must be >= 1, got {a}")
     if a > TABLE_ORDER_CAP.bit_length():
         raise TooLarge(f"order 2^(2 * {_shown(a)} + 1) exceeds {TABLE_ORDER_CAP}")
-    _check_order(2 ** (2 * a + 1))
+    return _check_order(2 ** (2 * a + 1))
 
 
 def extraspecial2(a: int, variant: str) -> FiniteGroup:
@@ -311,7 +312,7 @@ def extraspecial2(a: int, variant: str) -> FiniteGroup:
     return renamed(G, f"E{2 ** (2 * a + 1)}{sign}")
 
 
-def _check_heisenberg(p: int, e: int) -> None:
+def _check_heisenberg(p: int, e: int) -> int:
     """The field GF(p^e) of ``heisenberg``, checked before it is built."""
     # p meets the cap before the primality test, and e the cap's bit length
     # before the order q^3 is raised
@@ -319,7 +320,7 @@ def _check_heisenberg(p: int, e: int) -> None:
     if not (1 <= e <= TABLE_ORDER_CAP.bit_length() and is_prime(p)):
         raise BadParameter(f"field order {p}^{_shown(e)} not supported: need a prime p "
                            f"and 1 <= e <= {TABLE_ORDER_CAP.bit_length()}")
-    _check_order(p ** (3 * e))
+    return _check_order(p ** (3 * e))
 
 
 def heisenberg(field: FiniteField) -> FiniteGroup:

@@ -226,8 +226,8 @@ def _validate_light_associativity(arr: np.ndarray, gens: Sequence[int]) -> None:
     # 1961): the elements a with (xa)z = x(az) for all x, z contain the
     # identity and are closed under products, so once they contain a
     # generating set they are the whole table. This is exact, not sampled.
-    # With the identity and inverses checked first, that makes the table a
-    # group, so it needs no separate Latin-square test.
+    # With the identity and the power walk's inverses found first, that makes
+    # the table a group, so it needs no separate Latin-square test.
     for g in gens:
         lhs = arr.take(arr[:, g], axis=0)
         rhs = arr.take(arr[g, :], axis=1)
@@ -236,38 +236,36 @@ def _validate_light_associativity(arr: np.ndarray, gens: Sequence[int]) -> None:
             raise NotAGroup(f"associativity fails on triple ({x}, {g}, {z})")
 
 
-def _element_orders(arr: np.ndarray, identity: int) -> tuple[int, ...]:
-    # All elements are raised to their next power at once; an element leaves
-    # the pending set when its power reaches the identity.
+def _element_orders(arr: np.ndarray, identity: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Orders and inverses from one walk of all powers x^k = x^(k-1) x. The
+    units of a finite monoid are the x with some x^k = e, of inverse x^(k-1);
+    NotAGroup names the lowest element with no power at e."""
     n = arr.shape[0]
-    orders = np.zeros(n, dtype=np.int64)
+    orders, inverses = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.uint16)
     pending = np.arange(n)
-    power = pending
+    power, prev = pending, np.full(n, identity)
     for k in range(1, n + 1):
         hit = power == identity
         orders[pending[hit]] = k
+        inverses[pending[hit]] = prev[hit]
         pending, power = pending[~hit], power[~hit]
         if pending.size == 0:
             break
-        power = arr[power, pending]
-    # Report the lowest failing element, as an element-by-element scan would.
-    bad = (orders == 0) | (n % np.maximum(orders, 1) != 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if orders[i] == 0:
-            raise NotAGroup(f"powers of element {i} never reach the identity")
-        raise NotAGroup(f"element {i} has order {int(orders[i])}, which does not divide {n}")
-    return tuple(orders.tolist())
+        prev, power = power, arr[power, pending]
+    else:
+        raise NotAGroup(f"powers of element {int(pending[0])} never reach the identity")
+    inverses.setflags(write=False)
+    return tuple(orders.tolist()), inverses
 
 
 def from_table(table, name: str = "G") -> FiniteGroup:
     """Build a validated group from a square table of element indices.
 
-    Validation is exact at every order: a two-sided identity and inverses,
-    then Light's associativity test on a generating set, which the group
-    keeps for later use. Raises NotAGroup with the witnessing triple or
-    element when any axiom fails, and TooLarge above TABLE_ORDER_CAP before
-    any entry is read.
+    Validation is exact at every order: the identity, from the diagonal's
+    fixed points; one power walk for the orders and inverses; then Light's
+    associativity test on a generating set, which the group keeps for later
+    use. Raises NotAGroup with the witnessing triple or element when any
+    axiom fails, and TooLarge above TABLE_ORDER_CAP before any entry is read.
 
     The group keeps a read-only uint16 copy of the table, so the caller's
     array is never frozen or aliased.
@@ -284,29 +282,19 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     arr = np.array(src, dtype=np.uint16)
     arr.setflags(write=False)
 
+    # an identity e has e e = e, so only the diagonal's fixed points are tried
     expect = np.arange(n, dtype=arr.dtype)
-    identity = -1
-    for e in np.nonzero((arr == expect[None, :]).all(axis=1))[0]:
-        if np.array_equal(arr[:, e], expect):
-            identity = int(e)
-            break
-    if identity < 0:
+    fixed = map(int, np.flatnonzero(arr.diagonal() == expect))
+    two_sided = (e for e in fixed if np.array_equal(arr[e], expect) and np.array_equal(arr[:, e], expect))
+    identity = next(two_sided, None)
+    if identity is None:
         raise NotAGroup("no two-sided identity element")
 
-    hits = arr == identity
-    rinv = hits.argmax(axis=1)
-    if not hits[expect, rinv].all():
-        i = int(np.argmin(hits[expect, rinv]))
-        raise NotAGroup(f"element {i} has no right inverse")
-    if not (arr[rinv, expect] == identity).all():
-        i = int(np.argmin(arr[rinv, expect] == identity))
-        raise NotAGroup(f"element {i} has no two-sided inverse")
-    inverses = rinv.astype(np.uint16)
-    inverses.setflags(write=False)
-
+    # walked first: a table with a non-unit can take n - 1 generators to Light
+    element_orders, inverses = _element_orders(arr, identity)
     gens = _greedy_generators(arr, identity)
     _validate_light_associativity(arr, gens)
-    G = FiniteGroup(name, arr, identity, inverses, _element_orders(arr, identity))
+    G = FiniteGroup(name, arr, identity, inverses, element_orders)
     G._gens = gens
     return G
 

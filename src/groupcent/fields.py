@@ -80,7 +80,14 @@ class FiniteField:
     def order(self) -> int:
         return self.p**self.e
 
+    def _code(self, x: int) -> int:
+        """x if it codes an element, else BadParameter; ``encode`` reduces instead."""
+        if not 0 <= x < self.order:
+            raise BadParameter(f"code {x} is not in 0..{self.order - 1} of GF({self.order})")
+        return x
+
     def decode(self, x: int) -> tuple[int, ...]:
+        x = self._code(x)
         return tuple((x // self.p**i) % self.p for i in range(self.e))
 
     def encode(self, coeffs) -> int:
@@ -144,6 +151,7 @@ class FiniteField:
         return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def mul(self, a: int, b: int) -> int:
+        a, b = self._code(a), self._code(b)
         exp, log = self._exp_log
         return int(exp[(log[a] + log[b]) % (self.order - 1)]) if a and b else 0
 
@@ -151,14 +159,14 @@ class FiniteField:
         return self.encode([-c for c in self.decode(a)])
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self._code(a) == 0:
             raise BadParameter("0 has no multiplicative inverse")
         return self.inverse_table[a]
 
     def multiplicative_order(self, a: int) -> int:
         """The least k >= 1 with a^k = 1: q - 1 divided by each prime r of
         q - 1 for as long as the power stays 1."""
-        if a == 0:
+        if self._code(a) == 0:
             raise BadParameter("0 has no multiplicative order")
         k = self.order - 1
         for r in _prime_factors(k):

@@ -12,7 +12,8 @@ argument by Python's ``int`` (so " 5", "+14" and "1_4" read as 5, 14 and
 its builder's: parsing calls the builder's own check from ``constructions``,
 so an argument outside it fails at parse, before anything is built, with
 SpecParseError carrying the builder's message and "(at position N)", the
-offset of the part in the spec string.
+offset of the part in the spec string. The product of the orders the checks
+return meets the table budget at parse too; file parts meet it when read.
 
 Files use 0-based decimal indices, LF line endings, and '#' comment lines;
 a comment of the form "# name: <text>" names the group.
@@ -20,13 +21,14 @@ a comment of the form "# name: <text>" names the group.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
 from . import constructions as cons
-from .core import FiniteGroup, direct_product, from_table
+from .core import FiniteGroup, _check_order, direct_product, from_table
 from .errors import (
     BadOrder,
     BadParameter,
@@ -53,15 +55,15 @@ class GroupSpec:
     parts: tuple[AtomicSpec, ...]
 
 
-# family -> (builder, domain check, argument types). The check is the
-# builder's own first step, so a spec that parses is in the builder's domain.
-_FAMILIES: dict[str, tuple[Callable[..., FiniteGroup], Callable[..., None], tuple[type, ...]]] = {
+# family -> (builder, domain check, argument types). The check is the builder's
+# own first step and returns the order, so a spec that parses is in its domain.
+_FAMILIES: dict[str, tuple[Callable[..., FiniteGroup], Callable[..., int], tuple[type, ...]]] = {
     "cyclic": (cons.cyclic, cons._check_cyclic, (int,)),
     "elementary_abelian": (
         cons.elementary_abelian, cons._check_elementary_abelian, (int, int)
     ),
     "dihedral": (cons.dihedral, cons._check_dihedral, (int,)),
-    "quaternion8": (cons.quaternion8, lambda: None, ()),
+    "quaternion8": (cons.quaternion8, lambda: 8, ()),
     "symmetric": (cons.symmetric, cons._check_degree, (int,)),
     "alternating": (cons.alternating, lambda n: cons._check_degree(n, 2), (int,)),
     "extraspecial2": (cons.extraspecial2, cons._check_extraspecial2, (int, str)),
@@ -74,7 +76,7 @@ _FAMILIES: dict[str, tuple[Callable[..., FiniteGroup], Callable[..., None], tupl
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _parse_part(text: str, pos: int) -> AtomicSpec:
+def _parse_part(text: str, pos: int) -> tuple[AtomicSpec, int]:
     if not text:
         raise SpecParseError(f"empty spec part at position {pos}")
     scheme, sep, rest = text.partition(":")
@@ -104,25 +106,26 @@ def _parse_part(text: str, pos: int) -> AtomicSpec:
                     f"{family}: argument {i + 1} must be an integer (at position {pos})"
                 ) from None
         try:
-            check(*values)
+            order = check(*values)
         except (BadParameter, BadOrder) as exc:
             raise SpecParseError(f"{exc} (at position {pos})") from None
-        return AtomicSpec("builtin", family, tuple(args), None)
+        return AtomicSpec("builtin", family, tuple(args), None), order
     if scheme in ("cayley", "perm"):
         if not sep or not rest:
             raise SpecParseError(f"{scheme} spec needs a file path (at position {pos})")
-        return AtomicSpec(scheme, None, (), rest)
+        return AtomicSpec(scheme, None, (), rest), 1  # its order is checked when read
     raise SpecParseError(f"unknown scheme {scheme!r} (at position {pos})")
 
 
 def parse_spec(text: str) -> GroupSpec:
-    """Parse a spec string; SpecParseError/UnknownFamily carry the position."""
-    parts = []
-    pos = 0
+    """Parse a spec string; SpecParseError/UnknownFamily carry the position, and
+    TooLarge names a product of builtin parts over the table budget."""
+    parsed, pos = [], 0
     for chunk in text.split("*"):
-        parts.append(_parse_part(chunk.strip(), pos))
+        parsed.append(_parse_part(chunk.strip(), pos))
         pos += len(chunk) + 1
-    return GroupSpec(tuple(parts))
+    _check_order(math.prod(order for _, order in parsed))
+    return GroupSpec(tuple(part for part, _ in parsed))
 
 
 def _build_part(part: AtomicSpec) -> FiniteGroup:

@@ -197,6 +197,20 @@ def brute_force_bad_triple(table):
     return None
 
 
+def brute_force_inverses(table):
+    """Oracle for from_table's inverses: the first two-sided identity e found
+    by scanning every row and column, then for each x the first y with
+    xy = yx = e. Returns the inverses as a tuple, or None when the table has
+    no two-sided identity or some element has no two-sided inverse."""
+    arr = np.asarray(table)
+    n = arr.shape[0]
+    e = next((e for e in range(n) if all(arr[e, x] == x == arr[x, e] for x in range(n))), None)
+    if e is None:
+        return None
+    inverses = [next((y for y in range(n) if arr[x, y] == e == arr[y, x]), None) for x in range(n)]
+    return None if None in inverses else tuple(inverses)
+
+
 def loop_element_orders(table, identity):
     """Oracle for from_table's element orders: raise each element to
     successive powers one step at a time."""

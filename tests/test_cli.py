@@ -146,6 +146,33 @@ class TestFamilyDomains:
         else:
             assert build_group(parse_spec(text)).table.tobytes() == built.table.tobytes()
 
+    @pytest.mark.parametrize("family", sorted(FAMILY_DOMAINS))
+    def test_check_returns_the_order(self, family):
+        args = tuple(convert(a) for convert, a in zip(specs._FAMILIES[family][2], self.VALID[family]))
+        assert specs._FAMILIES[family][1](*args) == FAMILY_DOMAINS[family][0](*args).order
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("builtin:cyclic:20000", "order 20000 exceeds 16384"),
+            # each part is under the budget, and their product is over it
+            ("builtin:dihedral:16384*builtin:cyclic:2", "order 32768 exceeds 16384"),
+            ("builtin:symmetric:7*builtin:symmetric:7", "order 25401600 exceeds 16384"),
+        ],
+        ids=["cyclic", "dihedral_x_cyclic", "symmetric_x_symmetric"],
+    )
+    def test_over_budget_refused_at_parse(self, monkeypatch, text, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("a group was built at parse")
+
+        for family, (_, check, types) in list(specs._FAMILIES.items()):
+            monkeypatch.setitem(specs._FAMILIES, family, (fail, check, types))
+        for module in (specs, specs.cons):
+            monkeypatch.setattr(module, "from_table", fail)
+        monkeypatch.setattr(specs, "direct_product", fail)
+        with pytest.raises(TooLarge, match=f"^{message}: its uint16 table"):
+            parse_spec(text)
+
     def test_rejected_part_names_its_position(self):
         with pytest.raises(SpecParseError, match=r"got 7 \(at position 19\)$"):
             parse_spec("builtin:dihedral:6*builtin:dihedral:7")

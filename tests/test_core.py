@@ -8,9 +8,11 @@ import threading
 import tracemalloc
 import weakref
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcent import (
     ActionSpec,
@@ -64,6 +66,7 @@ from groupcent.errors import (
 from conftest import (
     bfs_greedy_generators,
     brute_force_bad_triple,
+    brute_force_inverses,
     formula_direct_product_table,
     loop_element_orders,
     right_closure,
@@ -179,6 +182,112 @@ class TestFromTable:
         g = cyclic(4)
         with pytest.raises(ValueError):
             g.table[0, 0] = 1
+
+
+# groups of each order up to 5, whose tables are perturbed into magmas
+SMALL_GROUPS = {
+    1: [cyclic(1)], 2: [cyclic(2)], 3: [cyclic(3)],
+    4: [cyclic(4), elementary_abelian(2, 2)], 5: [cyclic(5)],
+}
+
+
+@st.composite
+def magmas_with_identity(draw):
+    """A table of order 1 to 5 with a two-sided identity at a drawn index:
+    a relabelled group with up to three entries changed, or random entries."""
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(SMALL_GROUPS[n]))
+        perm = draw(st.permutations(range(n)))
+        table, e = relabel(g.table.tolist(), perm), perm[g.identity]
+        for _ in range(draw(st.integers(0, 3))):
+            table[draw(cell)][draw(cell)] = draw(cell)
+    else:
+        table = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+        e = draw(cell)
+    for x in range(n):
+        table[e][x] = table[x][e] = x
+    return table
+
+
+def accepted(table):
+    """from_table's verdict, with the group when it accepts."""
+    try:
+        return from_table(table)
+    except NotAGroup:
+        return None
+
+
+class TestValidation:
+    """from_table validates by the identity, one power walk that finds the
+    orders and inverses, the generating set and Light's test."""
+
+    def test_non_unit_named(self):
+        # identity 1; element 0 is idempotent, so its powers stay at 0
+        with pytest.raises(NotAGroup, match=r"^powers of element 0 never reach the identity$"):
+            from_table([[0, 0], [0, 1]])
+
+    def test_left_identity_is_not_enough(self):
+        # both diagonal entries are fixed and both rows are 0, 1; no column is
+        with pytest.raises(NotAGroup, match=r"^no two-sided identity element$"):
+            from_table([[0, 1], [0, 1]])
+
+    def test_band_refused_before_light(self, monkeypatch):
+        # an identity 0 adjoined to a left-zero band (ab = a): greedy would
+        # pick all 1023 other elements as generators for Light's test
+        n = 1024
+        band = np.repeat(np.arange(n)[:, None], n, axis=1)
+        band[0] = np.arange(n)
+
+        def fail(arr, gens):
+            raise AssertionError("Light's test ran")
+
+        monkeypatch.setattr(core, "_validate_light_associativity", fail)
+        with pytest.raises(NotAGroup, match=r"^powers of element 1 never reach the identity$"):
+            from_table(band)
+
+    @staticmethod
+    def assert_matches_oracles(table):
+        g, inverses = accepted(table), brute_force_inverses(table)
+        assert (g is not None) == (brute_force_bad_triple(table) is None and inverses is not None), table
+        if g is not None:
+            assert tuple(g.inverses.tolist()) == inverses
+
+    def test_accepts_exactly_the_groups_up_to_order_3(self):
+        # every table of order 1 to 3 with identity 0
+        for n in (1, 2, 3):
+            for cells in product(range(n), repeat=(n - 1) ** 2):
+                table = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+                for k, v in enumerate(cells):
+                    table[1 + k // (n - 1)][1 + k % (n - 1)] = v
+                self.assert_matches_oracles(table)
+
+    @given(magmas_with_identity())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_groups(self, table):
+        self.assert_matches_oracles(table)
+
+    def test_inverses_are_two_sided(self, oracle_pool):
+        # the pool holds relabelled copies, with the identity away from 0
+        groups = oracle_pool + [from_table(relabel(symmetric(4).table.tolist(), list(range(23, -1, -1))))]
+        assert any(g.identity != 0 for g in groups)
+        for g in groups:
+            x = np.arange(g.order)
+            assert (g.table[x, g.inverses] == g.identity).all(), g.name
+            assert (g.table[g.inverses, x] == g.identity).all(), g.name
+
+    def test_traced_peak(self):
+        # the copy, then Light's two n x n gathers and the next generator's
+        # first: no n x n array for the identity or the inverses
+        table = dihedral(2048).table
+        tracemalloc.start()
+        try:
+            from_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * table.nbytes, peak / table.nbytes
 
 
 def assert_uint16_tables(groups):

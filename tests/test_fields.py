@@ -83,6 +83,35 @@ def test_inverse_of_zero_rejected():
         gf(3).inv(0)
 
 
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 3)], ids=["GF7", "GF8"])
+@pytest.mark.parametrize("which", ["low", "high"])
+@pytest.mark.parametrize(
+    "method",
+    [
+        lambda f, x: f.add(x, 0),
+        lambda f, x: f.add(0, x),
+        lambda f, x: f.mul(x, 2),
+        lambda f, x: f.mul(0, x),
+        lambda f, x: f.neg(x),
+        lambda f, x: f.inv(x),
+        lambda f, x: f.decode(x),
+        lambda f, x: f.multiplicative_order(x),
+    ],
+    ids=["add", "add_right", "mul", "mul_by_zero", "neg", "inv", "decode", "multiplicative_order"],
+)
+def test_code_out_of_range_rejected(p, e, which, method):
+    # numpy would wrap -1 to the last code, and digit arithmetic would reduce q
+    f = gf(p, e)
+    code = -1 if which == "low" else f.order
+    with pytest.raises(BadParameter, match=rf"^code {code} is not in 0\.\.{f.order - 1} of GF\({f.order}\)$"):
+        method(f, code)
+
+
+def test_encode_reduces_coefficients():
+    assert gf(7).encode((-1,)) == 6 and gf(7).encode((9,)) == 2
+    assert gf(2, 3).encode((3, -1, 2)) == 3
+
+
 def _monic(p, degree):
     """Every monic polynomial of the degree over GF(p), ascending coefficients."""
     return [tail + (1,) for tail in product(range(p), repeat=degree)]
