@@ -15,7 +15,6 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,22 +103,23 @@ class CheckResult:
         }
 
 
-@lru_cache(maxsize=None)
-def _build_named(name: str, builder_spec: str) -> FiniteGroup:
-    return renamed(specs.build_group(builder_spec), name)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named group in the verification catalog, with optional expected
-    attributes (centralizer count, conjugate type, predicate flags)."""
+    attributes (centralizer count, conjugate type, predicate flags). The
+    group is built on the first ``build()`` and kept on the entry, so it is
+    freed with the entry. A build that raises is not kept."""
 
     name: str
     builder_spec: str
     expected: Mapping | None = None
 
     def build(self) -> FiniteGroup:
-        return _build_named(self.name, self.builder_spec)
+        # as core.memoized keeps a value, with no lock: racing threads keep one copy
+        held = self.__dict__
+        if "group" not in held:
+            held.setdefault("group", renamed(specs.build_group(self.builder_spec), self.name))
+        return held["group"]
 
 
 @dataclass(frozen=True)
@@ -643,8 +643,8 @@ REGISTRY: dict[str, tuple[Callable, str]] = {
 }
 
 #: the checks that read their CheckSettings: the pair checks, which sample
-#: pairs by the seed above the exhaustive cap. run_check keys only these
-#: by the settings.
+#: pairs by the seed above the exhaustive cap. run_check stores no sampled
+#: result.
 SAMPLED_CHECKS = frozenset({"np1", "co1", "zclass1"})
 
 
@@ -655,15 +655,14 @@ def check_ids() -> tuple[str, ...]:
 def run_check(check_id: str, G: FiniteGroup, settings: CheckSettings | None = None) -> CheckResult:
     """Run one named check against one group.
 
-    The result is memoized in G's own memo, keyed by the check function
+    The result is stored in G's own memo under the check function
     ``REGISTRY[check_id][0]`` (so a check patched into the registry runs
-    afresh) with a sampling key. Only the ``SAMPLED_CHECKS`` read the
-    settings, and at order <= ``exhaustive_cap`` they read nothing but that
-    bound, so their sampling key is None there and the whole settings object
-    above it; every other check's key is None. G holds one result per check:
-    a new key replaces it, so a loop over seeds reruns only the sampled
-    checks and keeps at most one result per check. Exceptions are not
-    cached. A memoized result is shared by every caller, so its ``details``
+    afresh), as ``memoized`` stores any derived value: exceptions are not
+    cached, and of two threads racing on it setdefault keeps one copy. Only
+    the ``SAMPLED_CHECKS`` read the settings, and at order <=
+    ``exhaustive_cap`` they read nothing but that bound. Above it their
+    result depends on the seed, so it is recomputed on each call and not
+    stored. A stored result is shared by every caller, so its ``details``
     must not be mutated; ``as_dict()`` returns a copy of the top level.
     """
     if check_id not in REGISTRY:
@@ -674,17 +673,12 @@ def run_check(check_id: str, G: FiniteGroup, settings: CheckSettings | None = No
             check_id, G.name, SKIP, {"reason": "abelian group; centralizer structure is trivial"}
         )
     fn = REGISTRY[check_id][0]
-    sampling = settings if check_id in SAMPLED_CHECKS and G.order > settings.exhaustive_cap else None
-    # check function -> (sampling key, result); each thread files its result
-    # with the key it ran under, so no result sits under another thread's key
-    results = G._memo.setdefault(run_check, {})
-    held = results.get(fn)
-    if held is not None and held[0] == sampling:
-        return held[1]
-    status, details = fn(G, settings)
-    result = CheckResult(check_id, G.name, status, details)
-    results[fn] = (sampling, result)
-    return result
+    if check_id in SAMPLED_CHECKS and G.order > settings.exhaustive_cap:
+        return CheckResult(check_id, G.name, *fn(G, settings))
+    memo = G._memo
+    if fn not in memo:
+        memo.setdefault(fn, CheckResult(check_id, G.name, *fn(G, settings)))
+    return memo[fn]
 
 
 def _expected_result(entry: CatalogEntry, G: FiniteGroup) -> CheckResult:
@@ -820,7 +814,12 @@ def _frobenius_entry(q: int, n: int, r: int) -> CatalogEntry:
 
 
 def default_catalog() -> list[CatalogEntry]:
-    """The built-in verification catalog (37 groups)."""
+    """The built-in verification catalog (37 groups): a fresh list of the
+    entries made once at import, so each group is built once per process."""
+    return list(_DEFAULT_CATALOG)
+
+
+def _default_entries() -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     for half in range(3, 11):
         odd = half % 2 == 1
@@ -881,3 +880,6 @@ def default_catalog() -> list[CatalogEntry]:
     entries.append(CatalogEntry("C2^3", "builtin:elementary_abelian:2:3", {"center_order": 8}))
     entries.append(CatalogEntry("C15", "builtin:cyclic:15", {"center_order": 15}))
     return entries
+
+
+_DEFAULT_CATALOG = tuple(_default_entries())

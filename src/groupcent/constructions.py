@@ -343,8 +343,8 @@ def from_permutations(degree: int, generators, name: str | None = None) -> Finit
     """Group generated by permutations of {0..degree-1}, numbered by the rank
     of their tuples; the product of a and b is the tuple a[b]. The closure
     finds each element y as g y' for a generator g and an element y' found
-    before it, and stops at the table budget through ``_check_order``. Row y
-    is then g's left multiplication, from ranks to ranks, gathered at row y'."""
+    before it, and stops with TooLarge once it passes the table budget. Row
+    y is then g's left multiplication, from ranks to ranks, gathered at row y'."""
     if degree < 1:
         raise BadParameter("degree must be >= 1")
     gens: list[tuple[int, ...]] = []
@@ -366,7 +366,8 @@ def from_permutations(degree: int, generators, name: str | None = None) -> Finit
                 perms.append(y)
                 parents.append((x, s))
             by_gen[s].append(index[y])
-        _check_order(len(perms))
+        if len(perms) > TABLE_ORDER_CAP:
+            raise TooLarge(f"the permutations generate more than {TABLE_ORDER_CAP} elements")
     m = len(perms)
     ranked = np.array(sorted(range(m), key=perms.__getitem__))  # ranked[r] has rank r
     rank = np.argsort(ranked).astype(np.uint16)

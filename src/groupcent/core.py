@@ -73,13 +73,11 @@ class FiniteGroup:
     Derived data (center, centralizer rows, predicates) is memoized on the
     instance as arrays and plain values that never point back at the group,
     so it is computed once, and a dropped group is freed at once by refcount.
-    ``from_table`` also keeps the generating set it validated on, so no
-    analysis has to find one again.
+    ``from_table`` also stores the generating set it validated on in the
+    memo, so no analysis has to find one again.
     """
 
-    __slots__ = (
-        "name", "order", "table", "identity", "inverses", "element_orders", "_gens", "_memo",
-    )
+    __slots__ = ("name", "order", "table", "identity", "inverses", "element_orders", "_memo")
 
     def __init__(
         self,
@@ -95,7 +93,6 @@ class FiniteGroup:
         self.identity = int(identity)
         self.inverses = inverses
         self.element_orders = element_orders
-        self._gens: tuple[int, ...] | None = None
         self._memo: dict = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -295,14 +292,14 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     gens = _greedy_generators(arr, identity)
     _validate_light_associativity(arr, gens)
     G = FiniteGroup(name, arr, identity, inverses, element_orders)
-    G._gens = gens
+    G._memo[_generators.__wrapped__] = gens
     return G
 
 
 def renamed(G: FiniteGroup, name: str) -> FiniteGroup:
-    """The same group under a different display name (no revalidation)."""
+    """The same group, and generating set, under another name (no revalidation)."""
     H = FiniteGroup(name, G.table, G.identity, G.inverses, G.element_orders)
-    H._gens = G._gens
+    H._memo[_generators.__wrapped__] = _generators(G)
     return H
 
 
@@ -395,13 +392,12 @@ def conjugate_elements(G: FiniteGroup, elems: Sequence[int], g: int) -> np.ndarr
     return t[t[G.inverses[g], np.asarray(elems, dtype=np.int64)], g]
 
 
+@memoized
 def _generators(G: FiniteGroup) -> tuple[int, ...]:
     """A small generating set: the one ``from_table`` validated on. A finite
     set that conjugation by each of these maps into itself is invariant
     under the whole group."""
-    if G._gens is None:  # a FiniteGroup constructed directly, not by from_table
-        G._gens = _greedy_generators(G.table, G.identity)
-    return G._gens
+    return _greedy_generators(G.table, G.identity)
 
 
 def _generator_commutators(G: FiniteGroup, xs: Sequence[int]) -> np.ndarray:
@@ -422,9 +418,9 @@ def _derived_elements(G: FiniteGroup) -> np.ndarray:
     is adjoined as one more generator; so G's generators map N into N."""
     t, s = G.table, np.asarray(_generators(G), dtype=np.int64)
     reached = np.arange(G.order) == G.identity
-    n_gens = _adjoin(t, reached, [], _generator_commutators(G, s).ravel())
-    for x in n_gens:  # grows as images are adjoined
-        _adjoin(t, reached, n_gens, t[t[G.inverses[s], x], s])
+    n_generators = _adjoin(t, reached, [], _generator_commutators(G, s).ravel())
+    for x in n_generators:  # grows as images are adjoined
+        _adjoin(t, reached, n_generators, t[t[G.inverses[s], x], s])
     elems = np.flatnonzero(reached)
     elems.setflags(write=False)
     return elems
@@ -455,11 +451,10 @@ def _coset_labels(G: FiniteGroup, elems: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> QuotientResult:
-    """Coset group G/N with its projection map; requires N normal."""
-    elems = _require_subgroup(G, N)
+    """Coset group G/N with its projection map; requires N normal (validated once, by is_normal)."""
     if not is_normal(G, N):
         raise NotNormal(f"{N.elements} is not normal in {G.name}")
-    reps, label = _coset_labels(G, elems)
+    reps, label = _coset_labels(G, np.asarray(N.elements, dtype=np.int64))
     q = from_table(label[G.table[np.ix_(reps, reps)]], name=f"{G.name}/N{N.order}")
     return QuotientResult(q, tuple(label.tolist()), N)
 

@@ -13,7 +13,9 @@ its builder's: parsing calls the builder's own check from ``constructions``,
 so an argument outside it fails at parse, before anything is built, with
 SpecParseError carrying the builder's message and "(at position N)", the
 offset of the part in the spec string. The product of the orders the checks
-return meets the table budget at parse too; file parts meet it when read.
+return meets the table budget at parse too, and at build the product of
+all part orders meets it after the file parts are read, before any builtin
+part is built.
 
 Files use 0-based decimal indices, LF line endings, and '#' comment lines;
 a comment of the form "# name: <text>" names the group.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -128,27 +131,26 @@ def parse_spec(text: str) -> GroupSpec:
     return GroupSpec(tuple(part for part, _ in parsed))
 
 
-def _build_part(part: AtomicSpec) -> FiniteGroup:
-    if part.scheme == "builtin":
-        builder, _, types = _FAMILIES[part.family]
-        try:
-            return builder(*(convert(arg) for convert, arg in zip(types, part.args)))
-        except (BadParameter, BadOrder) as exc:
-            raise SpecParseError(str(exc)) from exc
-    if part.scheme == "cayley":
-        return load_cayley(part.path)
-    return load_permutations(part.path)
+def _call_builtin(part: AtomicSpec, which: int):
+    """Entry ``which`` of the part's family, 0 its builder and 1 its domain
+    check, called on the part's arguments; SpecParseError outside the domain."""
+    family = _FAMILIES[part.family]
+    try:
+        return family[which](*(convert(arg) for convert, arg in zip(family[2], part.args)))
+    except (BadParameter, BadOrder) as exc:
+        raise SpecParseError(str(exc)) from exc
 
 
 def build_group(spec: GroupSpec | str) -> FiniteGroup:
-    """Resolve a parsed spec (or spec string) to a validated group."""
+    """Resolve a parsed spec (or spec string) to a validated group. The file
+    parts are read first, and the product of all part orders meets the table
+    budget before any builtin part is built."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    groups = [_build_part(p) for p in spec.parts]
-    result = groups[0]
-    for g in groups[1:]:
-        result = direct_product(result, g)
-    return result
+    loaders = {"cayley": load_cayley, "perm": load_permutations}
+    read = [loaders[p.scheme](p.path) if p.scheme in loaders else None for p in spec.parts]
+    _check_order(math.prod(_call_builtin(p, 1) if g is None else g.order for p, g in zip(spec.parts, read)))
+    return reduce(direct_product, [_call_builtin(p, 0) if g is None else g for p, g in zip(spec.parts, read)])
 
 
 # ---------------------------------------------------------------------------

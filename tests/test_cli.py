@@ -3,6 +3,7 @@
 import enum
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -48,6 +49,16 @@ from groupcent.errors import (
 )
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter: src on its path, and the
+    parent's PYTHONDONTWRITEBYTECODE, so that a run that writes no bytecode
+    cache has no child write one into src."""
+    env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 class TestParseSpec:
     def test_dihedral(self):
         spec = parse_spec("builtin:dihedral:14")
@@ -74,6 +85,22 @@ class TestParseSpec:
     def test_product_spec(self):
         g = build_group("builtin:symmetric:3*builtin:symmetric:3")
         assert g.order == 36
+
+    def test_product_budget_is_met_before_any_builtin_is_built(self, monkeypatch, tmp_path):
+        # D16384 is within the budget alone, and its product with the file's
+        # C2 is not: refused once the file is read, before dihedral runs
+        c2 = tmp_path / "c2.txt"
+        c2.write_text("2\n0 1\n1 0\n", encoding="utf-8")
+
+        def refuse(*args):
+            raise AssertionError("the dihedral builder ran")
+
+        _, check, types = specs._FAMILIES["dihedral"]
+        monkeypatch.setitem(specs._FAMILIES, "dihedral", (refuse, check, types))
+        for spec in (f"builtin:dihedral:16384*cayley:{c2}", f"cayley:{c2}*builtin:dihedral:16384"):
+            with pytest.raises(TooLarge, match="^order 32768 exceeds 16384"):
+                build_group(spec)
+        assert build_group(f"cayley:{c2}*builtin:quaternion8").order == 16
 
     def test_bad_scheme(self):
         with pytest.raises(SpecParseError):
@@ -568,7 +595,7 @@ class TestWarmEqualsCold:
             [sys.executable, "-m", "groupcent.cli", *argv],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            env=child_env(),
             cwd=Path(__file__).resolve().parents[1],
             check=True,
         )
@@ -719,7 +746,7 @@ class TestExitCodes:
             [sys.executable, "-m", "groupcent.cli", "analyze", "builtin:symmetric:3"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            env=child_env(),
             cwd=Path(__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
@@ -747,7 +774,7 @@ class TestImportCost:
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            env=child_env(),
             cwd=Path(__file__).resolve().parents[1],
             check=True,
         )

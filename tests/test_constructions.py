@@ -31,7 +31,7 @@ from groupcent import (
     smallest_frobenius_unit,
     symmetric,
 )
-from groupcent import constructions, core
+from groupcent import build_group, constructions, parse_spec
 from groupcent.errors import (
     BadOrder,
     BadParameter,
@@ -385,9 +385,24 @@ class TestFromPermutations:
 
     def test_closure_cap(self, monkeypatch):
         # the closure stops at the table budget, whatever it is
-        monkeypatch.setattr(core, "TABLE_ORDER_CAP", 10)
-        with pytest.raises(TooLarge, match=r"^order 1\d exceeds 10:"):
+        monkeypatch.setattr(constructions, "TABLE_ORDER_CAP", 10)
+        with pytest.raises(TooLarge, match=r"^the permutations generate more than 10 elements$"):
             from_permutations(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+
+    def test_over_budget_closure_names_no_order(self, tmp_path):
+        # S8's transpositions: the closure stops at 16385 elements, which is
+        # a count, not the order; the builder's own check names the order
+        transpositions = [constructions._cycle(8, i, 2) for i in range(7)]
+        perm_file = tmp_path / "s8.perm"
+        perm_file.write_text("degree 8 generators 7\n" + "".join(" ".join(map(str, p)) + "\n" for p in transpositions))
+        for build in (lambda: from_permutations(8, transpositions), lambda: build_group(f"perm:{perm_file}")):
+            with pytest.raises(TooLarge) as info:
+                build()
+            assert str(info.value) == "the permutations generate more than 16384 elements"
+        with pytest.raises(TooLarge, match="^order 40320 exceeds 16384"):
+            symmetric(8)
+        with pytest.raises(TooLarge, match="^order 40320 exceeds 16384"):
+            parse_spec("builtin:symmetric:8")
 
     def test_long_cycle_allocates_little_beyond_its_table(self):
         # 255 elements on 256 points: a 130 KB table, and no m x m x d array

@@ -554,6 +554,23 @@ class TestNormalityAndQuotient:
         with pytest.raises(NotNormal):
             quotient(g, generated_subgroup(g, [t]))
 
+    def test_quotient_validates_n_once(self, monkeypatch):
+        # one closure gather per call, and BadParameter before NotNormal
+        real, calls = core._require_subgroup, []
+        monkeypatch.setattr(core, "_require_subgroup", lambda G, H: calls.append(H) or real(G, H))
+        g = symmetric(3)
+        assert quotient(g, center(g)).quotient.order == 6 and len(calls) == 1
+        transpositions = [x for x in g.elements() if g.element_orders[x] == 2]
+        for bad, message in (
+            (Subgroup(g, tuple(sorted([g.identity, *transpositions[:2]]))), "element set is not a subgroup"),
+            (center(symmetric(3)), "subgroup belongs to a different group"),
+        ):
+            with pytest.raises(BadParameter, match=message):
+                quotient(g, bad)
+        with pytest.raises(NotNormal):
+            quotient(g, generated_subgroup(g, transpositions[:1]))
+        assert len(calls) == 4
+
     def test_projection_is_homomorphism(self):
         g = dihedral(12)
         qr = quotient(g, center(g))

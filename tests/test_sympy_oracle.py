@@ -1,18 +1,21 @@
 """Differential test against sympy's permutation groups.
 
 sympy is not a dependency of groupcent; the module is skipped without it.
-Each group is handed to sympy as its right regular representation, the
-permutations x -> xg for g in a generating set, and sympy's own center,
+Each builder group is handed to sympy as its right regular representation,
+the permutations x -> xg for g in a generating set, and sympy's own center,
 derived subgroup and nilpotency decide the expected values. S6 and A6 are
 compared with sympy's own groups on 6 points: their regular representations
-would compose 720^3 entries.
+would compose 720^3 entries. Random permutation groups, which reach groups
+outside the builder families, are compared with sympy on their own points
+and with the loop oracles of conftest.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from groupcent import (
+    CheckSettings,
     alternating,
     cent_count,
     center,
@@ -23,6 +26,7 @@ from groupcent import (
     elementary_abelian,
     extraspecial2,
     frobenius_cq_cn,
+    from_permutations,
     gf,
     heisenberg,
     is_abelian,
@@ -31,6 +35,8 @@ from groupcent import (
     symmetric,
 )
 from groupcent.core import _generators
+
+from conftest import assert_centralizers_match_loops, brute_force_inverses, loop_element_orders
 
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
@@ -106,3 +112,46 @@ def test_degree_six_matches_sympy(build, sympy_build, want):
     assert P.order() == g.order
     assert center(g).order == P.center().order() == 1
     assert cent_count(g) == sympy_cent_count(P) == want
+
+
+# the cycle types of a permutation that moves exactly k points
+DERANGEMENT_SHAPES = {2: [(2,)], 3: [(3,)], 4: [(4,), (2, 2)], 5: [(5,), (3, 2)]}
+
+
+@st.composite
+def point_permutations(draw):
+    """A degree of 4 to 8 and one to three permutations of its points, each
+    moving 2 to 5 of them, as image lists."""
+    degree = draw(st.integers(4, 8))
+    perms = []
+    for _ in range(draw(st.integers(1, 3))):
+        moved = draw(st.integers(2, min(5, degree)))
+        points = draw(st.permutations(range(degree)))[:moved]
+        image, start = list(range(degree)), 0
+        for length in draw(st.sampled_from(DERANGEMENT_SHAPES[moved])):
+            cycle = points[start:start + length]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                image[a] = b
+            start += length
+        perms.append(image)
+    return degree, perms
+
+
+@given(point_permutations())
+@settings(max_examples=100, deadline=None)
+def test_permutation_groups_match_sympy_and_the_loop_oracles(drawn):
+    degree, perms = drawn
+    P = PermutationGroup([Permutation(p) for p in perms])
+    assume(P.order() <= 1000)
+    g = from_permutations(degree, perms)
+    assert g.order == P.order()
+    assert center(g).order == P.center().order()
+    assert derived_subgroup(g).order == P.derived_subgroup().order()
+    assert is_nilpotent(g) == P.is_nilpotent
+    assert sympy_cent_count(P) == (1 if is_abelian(g) else cent_count(g))
+    assert g.element_orders == loop_element_orders(g.table, g.identity)
+    assert tuple(g.inverses.tolist()) == brute_force_inverses(g.table)
+    if not is_abelian(g):
+        # the centralizer record, the F and CA flags and the pair checks,
+        # exhaustive up to order 64 and sampled at every order
+        assert_centralizers_match_loops(g, [CheckSettings(), CheckSettings(exhaustive_cap=0)])

@@ -1,11 +1,13 @@
 """Check registry, suite mechanics, catalog, and search."""
 
 import dataclasses
+import gc
 import json
 import random
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from groupcent import (
     run_check,
     run_suite,
     search,
+    specs,
     symmetric,
 )
 from groupcent.analytics import ConjugateTypeReport
@@ -170,9 +173,9 @@ class TestRunCheck:
 
 
 class TestCheckMemo:
-    """run_check keeps its results in the group's own memo, one per check
-    under one sampling key; only the sampled checks are keyed by the
-    settings."""
+    """run_check keeps its results in the group's own memo under the check
+    function, as memoized keeps any derived value; a sampled check's result
+    above the exhaustive cap depends on the seed and is never stored."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -205,36 +208,41 @@ class TestCheckMemo:
         assert all(a is b for a, b in zip(rows[0], rows[2]))
 
     def test_sampled_group_reruns_for_each_new_seed(self, calls):
+        # and for a repeated seed too: no sampled result is kept to reuse
         g = heisenberg(gf(3, 2))
         assert g.order > CheckSettings().exhaustive_cap
-        for seed in (1, 1, 2, 2, 1):
-            self.run_all(g, CheckSettings(seed=seed))
-        assert calls == self.runs(3, 1)
+        rows = [self.run_all(g, CheckSettings(seed=seed)) for seed in (1, 1, 2, 2, 1)]
+        assert calls == self.runs(5, 1)
+        assert rows[0] == rows[1] == rows[4] and rows[2] == rows[3]
 
-    def test_sampled_group_holds_one_seed(self, calls):
+    def test_sampled_group_holds_no_sampled_result(self, calls):
         g = heisenberg(gf(3, 2))
-        for seed in range(50):
-            self.run_all(g, CheckSettings(seed=seed))
-        results = g._memo[run_check]
-        assert len(results) == len(checks.REGISTRY)
-        keys = {fn: sampling for fn, (sampling, _) in results.items()}
-        assert keys == {
-            fn: CheckSettings(seed=49) if cid in checks.SAMPLED_CHECKS else None
-            for cid, (fn, _) in checks.REGISTRY.items()
-        }
+        rows = [self.run_all(g, CheckSettings(seed=seed)) for seed in range(50)]
+        stored = {fn for fn, _ in checks.REGISTRY.values()} & set(g._memo)
+        assert stored == {fn for cid, (fn, _) in checks.REGISTRY.items() if cid not in checks.SAMPLED_CHECKS}
+        assert len(stored) == len(checks.REGISTRY) - 3 == 26
+        for first, last in zip(rows[0], rows[-1]):
+            if first.check_id in checks.SAMPLED_CHECKS:
+                assert first is not last
+            else:
+                assert first is last is g._memo[checks.REGISTRY[first.check_id][0]], first.check_id
         assert calls == self.runs(50, 1)
 
-    def test_exhaustive_cap_is_part_of_the_key(self, calls):
+    def test_exhaustive_cap_decides_what_is_stored(self, calls):
         g = symmetric(4)
         default = self.run_all(g, CheckSettings())
         sampled = self.run_all(g, CheckSettings(exhaustive_cap=0))
         assert self.run_all(g, CheckSettings(exhaustive_cap=0)) == sampled
-        assert calls == self.runs(2, 1)
+        assert calls == self.runs(3, 1)
         modes = [r.details.get("mode") for r in (default[0], sampled[0])]
         assert modes == ["exhaustive", "sampled"]
         self.run_all(g, CheckSettings(exhaustive_cap=0, seed=1))
         self.run_all(g, CheckSettings(exhaustive_cap=0, sample_pairs=10, seed=1))
-        assert calls == self.runs(4, 1)
+        assert calls == self.runs(5, 1)
+        # at order <= the cap the exhaustive result is stored, whatever the seed
+        assert self.run_all(g, CheckSettings(seed=7)) == default
+        assert all(a is b for a, b in zip(self.run_all(g, CheckSettings(seed=8)), default))
+        assert calls == self.runs(5, 1)
 
     def test_exceptions_are_not_cached(self, monkeypatch):
         failures = iter([InvariantViolation("first call fails")])
@@ -282,8 +290,7 @@ class TestCheckMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        ((sampling, _),) = g._memo[run_check].values()
-        assert sampling.exhaustive_cap == 0
+        assert echo not in g._memo
 
     def test_new_seed_reruns_only_the_sampled_checks(self, calls):
         g = dihedral(128)
@@ -759,6 +766,47 @@ class TestCatalog:
         ):
             assert required in names
 
+    def test_default_catalog_is_a_fresh_list_of_the_same_entries(self):
+        first, second = default_catalog(), default_catalog()
+        assert first is not second and len(first) == len(second) == 37
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_entry_keeps_its_group(self):
+        entry = CatalogEntry("D6", "builtin:dihedral:6")
+        assert entry.build() is entry.build()
+        assert entry.build() is not CatalogEntry("D6", "builtin:dihedral:6").build()
+
+    def test_threads_racing_on_an_entry_get_one_group(self):
+        entry, got = CatalogEntry("S3xD10", "builtin:symmetric:3*builtin:dihedral:10"), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: got.append(entry.build())) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(got) == 8
+        assert all(g is entry.build() for g in got)
+
+    def test_dropped_catalogs_free_their_groups(self):
+        # a catalog's groups, and the check results in their memos, go with
+        # the catalog: three suites over distinct groups of about 0.5 MiB of
+        # table each retain nothing once their entries are dropped
+        run_suite([CatalogEntry("D510", "builtin:dihedral:510")])  # first-use state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, retained = tracemalloc.get_traced_memory()[0], []
+            for n in (512, 514, 516):
+                run_suite([CatalogEntry(f"D{n}", f"builtin:dihedral:{n}")])
+                retained.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(retained) < 0.25 * 2**20, retained
+
     def test_extended_catalog_file_parses(self):
         # the opt-in catalog of groups above the default catalog's orders;
         # every spec is within its family's domain and the table budget
@@ -900,6 +948,15 @@ class TestSearch:
     def test_custom_predicate(self):
         hits = search(SearchQuery(lambda n, order, z: n == order - 1))
         assert {h.name for h in hits} == {"D6"}
+
+    def test_search_after_suite_builds_nothing(self, monkeypatch):
+        run_suite()
+
+        def refuse(spec):
+            raise AssertionError(f"{spec} built again")
+
+        monkeypatch.setattr(specs, "build_group", refuse)
+        assert {h.name for h in search(SearchQuery("cent_eq_half", max_order=20))} >= {"Q8", "D8", "A4"}
 
     def test_unknown_predicate(self):
         with pytest.raises(UnknownCheckId):
