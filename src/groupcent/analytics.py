@@ -24,6 +24,7 @@ from .core import (
     _center_elements,
     _centralizer_orders,
     _commuting_matrix,
+    _commuting_rows,
     _coset_labels,
     _derived_elements,
     _distinct,
@@ -173,14 +174,14 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     containments and its abelian flag, with no copy of K (see
     ``_Centralizers``).
 
-    Every step is a whole-array pass. The distinct rows of K are found by
-    one 1-D ``np.unique`` over the packed rows, each viewed as a single byte
-    string, and one ``np.lexsort`` over (row size, reversed byte-string
-    rank) puts them in canonical order. The Z rows are one
-    ``np.bitwise_and.reduceat`` over the packed rows of K gathered at the
-    members of each row, in chunks of about ``_GATHER_LIMIT`` bytes, and
-    unpacked once. Row sizes are read from ``_centralizer_orders``, so no
-    row of K is summed again, and the CA flags compare them with the Z row
+    Every step is a whole-array pass over the packed K that ``core`` keeps.
+    The distinct rows of K are found by one 1-D ``np.unique`` over its rows,
+    each viewed as a single byte string, and one ``np.lexsort`` over (row
+    size, reversed byte-string rank) puts them in canonical order. The Z
+    rows are one ``np.bitwise_and.reduceat`` over the rows of K gathered at
+    the members of each row, in chunks of about ``_GATHER_LIMIT`` bytes that
+    unpack only their representatives' rows. Row sizes are read from
+    ``_centralizer_orders``, and the CA flags compare them with the Z row
     sizes. np1 and co1 test Z(y) <= Z(x) on the Z rows at their own pairs.
 
     Raises AbelianGroupError for abelian input, where the only centralizer
@@ -190,10 +191,7 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     if is_abelian(G):
         raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
     k = _commuting_matrix(G)
-    # K packed eight elements to a byte, in rows of whole 64-bit words
-    packed = np.zeros((G.order, -(-G.order // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-G.order // 8)] = np.packbits(k, axis=1)
-    first, inverse = np.unique(_byte_strings(packed), return_index=True, return_inverse=True)[1:]
+    first, inverse = np.unique(_byte_strings(k), return_index=True, return_inverse=True)[1:]
     orders = _centralizer_orders(G)
     # np.unique sorts the rows as byte strings, and of two rows of one size the
     # larger string holds the smaller first element where they differ, so it
@@ -204,14 +202,13 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
     sizes = orders[reps]
     # x lies in C(x), so whatever commutes with all of C(x) lies in C(x): that
     # is Z(x), the AND of the rows of K at the members of C(x)
-    words = packed.view(np.uint64)
+    words = k.view(np.uint64)
     z_words = np.empty((reps.size, words.shape[1]), dtype=np.uint64)
-    # a chunk gathers its rows of K, and per member a packed row and two int64 indices
-    for part in _chunks(G.order + sizes * (packed.shape[1] + 16)):
-        members = _cells(k[reps[part]])[1]
+    # a chunk unpacks its rows of K, and per member gathers a packed row and two int64 indices
+    for part in _chunks(G.order + sizes * (k.shape[1] + 16)):
+        members = _cells(_commuting_rows(G, reps[part]))[1]
         ends = sizes[part].cumsum()
         z_words[part] = np.bitwise_and.reduceat(words[members], ends - sizes[part], axis=0)
-    del packed, words
     z_rows = np.unpackbits(z_words.view(np.uint8), axis=1, count=G.order).view(bool)
 
     n = reps.size
@@ -219,7 +216,9 @@ def _centralizers(G: FiniteGroup) -> _Centralizers:
         raise InvariantViolation(f"{G.name} reports n={n}; no group has 2 or 3 centralizers")
     zg = z_rows[-1]
     proper = sizes[:-1]
-    if not (((zg.sum() < proper) & (proper < G.order)).all() and k[np.ix_(reps[:-1], zg)].all()):
+    # K is symmetric, so row i holds Z(G) iff each central row holds row i's representative
+    central = _commuting_rows(G, np.flatnonzero(zg))[:, reps[:-1]]
+    if not (((zg.sum() < proper) & (proper < G.order)).all() and central.all()):
         raise InvariantViolation("proper centralizer fails the strict sandwich Z(G) < C < G")
     if not z_rows.any(axis=0).all():
         raise InvariantViolation("the Z(x) together with the center do not cover the group")
@@ -257,7 +256,7 @@ def profile(G: FiniteGroup) -> CentralizerProfile:
     cz = _centralizers(G)
     zg = center(G)
     m = cz.reps.size - 1
-    rows = _commuting_matrix(G)[cz.reps[:m]]
+    rows = _commuting_rows(G, cz.reps[:m])
     proper = tuple(Subgroup(G, tuple(np.flatnonzero(r).tolist())) for r in rows)
     z_by_row = [Subgroup(G, tuple(np.flatnonzero(r).tolist())) for r in cz.z_rows[:m]] + [zg]
     index = cz.index.tolist()

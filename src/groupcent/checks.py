@@ -46,7 +46,7 @@ from .core import (
     FiniteGroup,
     _center_elements,
     _centralizer_orders,
-    _commuting_matrix,
+    _commuting_rows,
     _derived_elements,
     _distinct,
     _row_counts,
@@ -507,7 +507,7 @@ def _check_bbu(G, s):
     if not cz.abelian[:-1].all():
         i = int(np.argmin(cz.abelian[:-1]))
         return FAIL, {"nonabelian_centralizer_order": int(_proper_sizes(G)[i])}
-    covers = bool(_commuting_matrix(G)[cz.reps[:-1]].any(axis=0).all())
+    covers = bool(_commuting_rows(G, cz.reps[:-1]).any(axis=0).all())
     qz = _quotient_order(G)
     details = {
         "n": n,

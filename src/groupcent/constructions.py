@@ -204,9 +204,7 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
     for h1 in range(nh):
         twisted = K.table[:, perms[h1]]  # [k1, k2] -> k1 * action(h1)(k2)
         for h2 in range(nh):
-            h3 = int(H.table[h1, h2])
-            block = twisted * nh + h3
-            table[np.ix_(ks * nh + h1, ks * nh + h2)] = block
+            table[np.ix_(ks * nh + h1, ks * nh + h2)] = twisted * nh + int(H.table[h1, h2])
     return from_table(table, name=name or f"{K.name}:{H.name}")
 
 
@@ -235,9 +233,7 @@ def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
     re-verified after construction.
     """
     _check_frobenius(q, n, r)
-    action = tuple(
-        tuple((x * pow(r, j, q)) % q for x in range(q)) for j in range(n)
-    )
+    action = tuple(tuple(x * pow(r, j, q) % q for x in range(q)) for j in range(n))
     spec = ActionSpec(cyclic(q), cyclic(n), action)
     G = semidirect(spec, name=f"C{q}:C{n}(r={r})")
     for j in range(1, n):
@@ -271,12 +267,9 @@ def central_product(
             raise NotCentralIso(
                 "an explicit center isomorphism is required unless both centers have order <= 2"
             )
+        # at most one element of each center is not the identity
         iso = {A.identity: B.identity}
-        for x, y in zip(
-            (z for z in za.elements if z != A.identity),
-            (z for z in zb.elements if z != B.identity),
-        ):
-            iso[x] = y
+        iso.update(zip(set(za.elements) - {A.identity}, set(zb.elements) - {B.identity}))
     if set(iso) != set(za.elements) or set(iso.values()) != set(zb.elements):
         raise NotCentralIso("map is not a bijection between the two centers")
     for z1 in za.elements:

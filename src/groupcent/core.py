@@ -309,11 +309,18 @@ def renamed(G: FiniteGroup, name: str) -> FiniteGroup:
 
 @memoized
 def _commuting_matrix(G: FiniteGroup) -> np.ndarray:
-    """Boolean K with K[x, y] true iff xy = yx. Row x is the centralizer
-    C(x); every centralizer computation in the package reads it."""
-    k = G.table == G.table.T
+    """K packed: bit y of row x, in ``np.packbits`` order, is set iff xy = yx,
+    in rows zero-padded to whole 64-bit words of a read-only uint8 array.
+    Row x is C(x); every centralizer computation in the package reads it."""
+    k = np.zeros((G.order, -(-G.order // 64) * 8), dtype=np.uint8)
+    k[:, : -(-G.order // 8)] = np.packbits(G.table == G.table.T, axis=1)
     k.setflags(write=False)
     return k
+
+
+def _commuting_rows(G: FiniteGroup, xs) -> np.ndarray:
+    """The rows of K at xs, an element or an index array, as booleans."""
+    return np.unpackbits(_commuting_matrix(G)[xs], axis=-1, count=G.order).view(bool)
 
 
 def _row_counts(b: np.ndarray) -> np.ndarray:
@@ -326,9 +333,8 @@ def _row_counts(b: np.ndarray) -> np.ndarray:
 
 @memoized
 def _centralizer_orders(G: FiniteGroup) -> np.ndarray:
-    """Entry x is |C(x)|, the row sum of K: the one pass over K that every
-    reader of centralizer orders shares."""
-    sizes = _row_counts(_commuting_matrix(G))
+    """Entry x is |C(x)|, the set bits of row x of K, counted once for all readers."""
+    sizes = np.bitwise_count(_commuting_matrix(G).view(np.uint64)).sum(axis=1, dtype=np.int64)
     sizes.setflags(write=False)
     return sizes
 
@@ -359,7 +365,7 @@ def _element_index(G: FiniteGroup, x) -> int:
 
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     """Elements commuting with x; always contains <x> and the center."""
-    k = _commuting_matrix(G)[_element_index(G, x)]
+    k = _commuting_rows(G, _element_index(G, x))
     return Subgroup(G, tuple(np.flatnonzero(k).tolist()))
 
 

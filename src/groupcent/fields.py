@@ -98,7 +98,9 @@ class FiniteField:
         return _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
 
     def _power(self, a: int, k: int) -> int:
-        """a^k for k >= 0, by square-and-multiply."""
+        """a^k for k >= 0: ``pow`` mod p in a prime field, else by square-and-multiply."""
+        if self.e == 1:
+            return pow(self._code(a), k, self.p)
         result, base = [1], list(self.decode(a))
         while k:
             if k & 1:

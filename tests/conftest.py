@@ -41,7 +41,7 @@ from groupcent.checks import FAIL, PASS, SKIP, _quotient_order
 from groupcent.core import (
     FiniteGroup,
     Subgroup,
-    _commuting_matrix,
+    _centralizer_orders,
     _generators,
     _is_closed,
     conjugate_elements,
@@ -309,11 +309,12 @@ def _containment(rows: np.ndarray) -> np.ndarray:
 
 
 def unique_rows_centralizers(G):
-    """Oracle for analytics._centralizers: the distinct rows of K by
-    np.unique(axis=0) over the packed rows, unmemoized."""
+    """Oracle for analytics._centralizers: the distinct rows of a boolean K
+    computed here from the table, by np.unique(axis=0) over the packed rows,
+    unmemoized."""
     if is_abelian(G):
         raise AbelianGroupError(f"{G.name} is abelian; its only centralizer is itself")
-    k = _commuting_matrix(G)
+    k = G.table == G.table.T
     _, first, inverse = np.unique(
         np.packbits(k, axis=1), axis=0, return_index=True, return_inverse=True
     )
@@ -529,7 +530,8 @@ def assert_centralizers_match_loops(G, settings_list):
     settings."""
     cz = loop_centralizers(G)
     proper, zs = loop_profile(G)
-    assert _commuting_matrix(G).sum(axis=1).tolist() == [len(c) for c in cz]
+    assert (G.table == G.table.T).sum(axis=1).tolist() == [len(c) for c in cz]
+    assert _centralizer_orders(G).tolist() == [len(c) for c in cz]
     assert [centralizer(G, x).element_set for x in G.elements()] == cz
     prof = profile(G)
     assert [c.element_set for c in prof.proper_centralizers] == proper
@@ -612,11 +614,12 @@ def quotient_central_partition(G):
 
 
 def quotient_sandwich_chains(G):
-    """Oracle for the sandwich chains: |C(xZ)| read from the commuting
-    matrix of the rebuilt central quotient."""
+    """Oracle for the sandwich chains: |C(xZ)| read from a boolean
+    commuting matrix of the rebuilt central quotient."""
     qr = central_quotient(G)
-    upper = _commuting_matrix(G).sum(axis=1)
-    middle = _commuting_matrix(qr.quotient).sum(axis=1)[np.asarray(qr.projection)]
+    upper = (G.table == G.table.T).sum(axis=1)
+    q = qr.quotient.table
+    middle = (q == q.T).sum(axis=1)[np.asarray(qr.projection)]
     return tuple(map(tuple, np.stack([upper // center(G).order, middle, upper], 1).tolist()))
 
 
@@ -732,7 +735,7 @@ def loop_is_frobenius_prime_cyclic(G):
     m = G.order // q
     if m == 1:
         return False
-    sizes = _commuting_matrix(G).sum(axis=1)
+    sizes = (G.table == G.table.T).sum(axis=1)
     orders = G.element_orders
     for x in range(G.order):
         if orders[x] != q or sizes[x] != q:

@@ -341,14 +341,14 @@ class TestCentralizerRows:
         # sandwich and covering checks. contains is read at the row
         # representatives and np1 tests Z(y) <= Z(x) on the Z rows, so they
         # disagree and np1 fails; a subset side read off contains would let
-        # np1 pass. The bit goes into the group's memo entry for K, so the
-        # centralizer orders are summed from the same planted K.
+        # np1 pass. The bit goes into the group's memo entry for the packed K,
+        # so the centralizer orders are counted from the same planted K.
         k = analytics._commuting_matrix(build()).copy()
-        k[1, 0] = ~k[1, 0]
+        k[1, 0] ^= 0x80
         g = build()
         g._memo[core._commuting_matrix.__wrapped__] = k
         cz = analytics._centralizers(g)
-        assert analytics._centralizer_orders(g)[1] == k[1].sum()
+        assert analytics._centralizer_orders(g)[1] == np.unpackbits(k[1]).sum()
         got = run_check("np1", g)
         assert got.status == checks.FAIL
         assert (got.status, dict(got.details)) == formula_pair_checks(g, CheckSettings(), cz)["np1"]

@@ -454,6 +454,28 @@ class TestCenterAndCentralizer:
         full = np.ones((1, core.TABLE_ORDER_CAP), dtype=bool)
         assert core._row_counts(full).tolist() == full.sum(axis=1).tolist() == [16384]
 
+    @staticmethod
+    def assert_packed_bool_k(groups):
+        # rows of whole 64-bit words, in np.packbits order, with zero padding
+        for g in groups:
+            n, k = g.order, core._commuting_matrix(g)
+            assert k.dtype == np.uint8 and k.shape == (n, 8 * -(-n // 64)), g.name
+            assert not k.flags.writeable
+            assert not np.unpackbits(k, axis=1)[:, n:].any(), g.name
+            bool_k = g.table == g.table.T
+            assert np.array_equal(np.unpackbits(k, axis=1, count=n).view(bool), bool_k), g.name
+            assert np.array_equal(core._centralizer_orders(g), bool_k.sum(axis=1)), g.name
+            xs = np.arange(0, n, 3)
+            assert np.array_equal(core._commuting_rows(g, xs), bool_k[xs])
+            assert np.array_equal(core._commuting_rows(g, n - 1), bool_k[n - 1])
+
+    def test_commuting_matrix_is_packed_bool_k(self, oracle_pool):
+        self.assert_packed_bool_k(oracle_pool)
+
+    def test_commuting_matrix_pads_rows_to_whole_words(self):
+        # n mod 64 is 62, 62, 0, 2 and 6
+        self.assert_packed_bool_k(dihedral(n) for n in (62, 126, 128, 130, 1030))
+
     def test_center_is_intersection_of_centralizers(self):
         for g in (symmetric(4), quaternion8(), dihedral(12)):
             common = set(g.elements())
@@ -711,8 +733,8 @@ class TestCommutatorsFromGenerators:
                 stack.extend(v)
             elif isinstance(v, np.ndarray) and v.shape == (g.order, g.order):
                 square.append(v.dtype)
-        # only the boolean commuting matrix is n x n
-        assert square and all(d == np.bool_ for d in square)
+        # the commuting matrix is kept packed, 8 elements to a byte
+        assert not square
 
 
 class TestIsomorphic:

@@ -29,6 +29,16 @@ def test_prime_field_is_mod_p():
     assert all(f.mul(a, b) == (a * b) % 7 for a in range(7) for b in range(7))
 
 
+def test_prime_field_power_is_repeated_mul():
+    for p in filter(is_prime, range(50)):
+        f = gf(p)
+        for a in range(p):
+            x = 1
+            for k in range(2 * p):
+                assert f._power(a, k) == x, (p, a, k)
+                x = f.mul(x, a)
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 has the root 1 over GF(2)
     with pytest.raises(NotIrreducible):
