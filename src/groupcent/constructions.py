@@ -2,7 +2,9 @@
 
 Every builder routes its table through ``from_table`` validation, so a value
 returned from here is a checked group, not just a plausible one. Every
-builder but ``quaternion8`` writes its table in uint16 (``cyclic`` as a view).
+builder writes its table in uint16 (``cyclic`` as a view), and
+``elementary_abelian`` and ``semidirect`` write theirs through
+``core._product_table``, as ``direct_product`` does.
 
 Each spec family's parameter domain is one private ``_check_*`` function,
 the first step of its builder: it returns the order of the group through
@@ -23,6 +25,7 @@ from .core import (
     FiniteGroup,
     Subgroup,
     _check_order,
+    _product_table,
     _shown,
     center,
     direct_product,
@@ -37,7 +40,6 @@ from .errors import (
     NotAnAction,
     NotAPermutation,
     NotCentralIso,
-    NotFrobenius,
     TooLarge,
 )
 from .fields import FiniteField, gf
@@ -77,15 +79,10 @@ def _check_elementary_abelian(p: int, k: int) -> int:
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """Direct power C_p^k, with digit-wise addition base p."""
     _check_elementary_abelian(p, k)
-    # C_p^(j+1) from C_p^j by a new leading digit, in uint16 and in place:
-    # no entry exceeds p^k - 1
+    # C_p^(j+1) is C_p x C_p^j: a new leading digit
     table = np.zeros((1, 1), dtype=np.uint16)
     for _ in range(k):
-        m = table.shape[0]
-        grown = np.empty((p, m, p, m), dtype=np.uint16)
-        np.multiply(_cyclic_table(p)[:, None, :, None], m, out=grown)
-        grown += table[None, :, None, :]
-        table = grown.reshape(p * m, p * m)
+        table = _product_table(_cyclic_table(p), table)
     name = f"C{p}^{k}" if k != 1 else f"C{p}"
     return from_table(table, name=name)
 
@@ -115,25 +112,11 @@ def dihedral(two_n: int) -> FiniteGroup:
 
 def quaternion8() -> FiniteGroup:
     """The quaternion group on {1, -1, i, -i, j, -j, k, -k}."""
-    units = [
-        (1, 0, 0, 0), (-1, 0, 0, 0),
-        (0, 1, 0, 0), (0, -1, 0, 0),
-        (0, 0, 1, 0), (0, 0, -1, 0),
-        (0, 0, 0, 1), (0, 0, 0, -1),
-    ]
-    index = {u: i for i, u in enumerate(units)}
-
-    def hprod(q1, q2):
-        a1, b1, c1, d1 = q1
-        a2, b2, c2, d2 = q2
-        return (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
-    table = [[index[hprod(u, v)] for v in units] for u in units]
+    # Element 2u + s is (-1)^s times unit u of (1, i, j, k). The product of
+    # units u1 and u2 is unit u1 XOR u2, negated where neg[u1, u2] is set.
+    u, s = np.divmod(np.arange(8, dtype=np.uint16), 2)
+    neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint16)
+    table = 2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ neg[u[:, None], u])
     return from_table(table, name="Q8")
 
 
@@ -184,28 +167,20 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
     _check_order(nk * nh)
     if len(spec.action) != nh:
         raise NotAnAction(f"need one permutation per complement element, got {len(spec.action)}")
-    perms = []
+    perms = np.empty((nh, nk), dtype=np.int64)  # row h is action[h]
     for h, p in enumerate(spec.action):
         arr = np.asarray(p, dtype=np.int64)
         if arr.shape != (nk,) or not np.array_equal(np.sort(arr), np.arange(nk)):
             raise NotAnAction(f"action of complement element {h} is not a permutation of the kernel")
         if not np.array_equal(arr[K.table], K.table[arr[:, None], arr[None, :]]):
             raise NotAnAction(f"action of complement element {h} is not an automorphism")
-        perms.append(arr)
+        perms[h] = arr
     for h1 in range(nh):
-        for h2 in range(nh):
-            if not np.array_equal(perms[H.table[h1, h2]], perms[h1][perms[h2]]):
-                raise NotAnAction(f"action is not a homomorphism at ({h1}, {h2})")
-
-    n = nk * nh
-    # in uint16: k * nh + h <= n - 1
-    table = np.zeros((n, n), dtype=np.uint16)
-    ks = np.arange(nk)
-    for h1 in range(nh):
-        twisted = K.table[:, perms[h1]]  # [k1, k2] -> k1 * action(h1)(k2)
-        for h2 in range(nh):
-            table[np.ix_(ks * nh + h1, ks * nh + h2)] = twisted * nh + int(H.table[h1, h2])
-    return from_table(table, name=name or f"{K.name}:{H.name}")
+        # entry h2: does action[h1 h2] differ from action[h1] o action[h2]?
+        wrong = (perms[H.table[h1]] != perms[h1][perms]).any(axis=1)
+        if wrong.any():
+            raise NotAnAction(f"action is not a homomorphism at ({h1}, {int(wrong.argmax())})")
+    return from_table(_product_table(K.table, H.table, perms), name=name or f"{K.name}:{H.name}")
 
 
 def _check_frobenius(q: int, n: int, r: int) -> int:
@@ -228,18 +203,13 @@ def _check_frobenius(q: int, n: int, r: int) -> int:
 def frobenius_cq_cn(q: int, n: int, r: int) -> FiniteGroup:
     """C_q with a cyclic complement of order n acting by x -> x * r mod q.
 
-    r must have multiplicative order exactly n mod q (else BadOrder), which
-    forces the action to be fixed-point free; the defining property is still
-    re-verified after construction.
+    r must have multiplicative order exactly n mod q (else BadOrder). That
+    makes the action fixed-point free with no further test: for 0 < j < n,
+    r^j is not 1 mod the prime q, so x r^j = x mod q only at x = 0.
     """
     _check_frobenius(q, n, r)
     action = tuple(tuple(x * pow(r, j, q) % q for x in range(q)) for j in range(n))
-    spec = ActionSpec(cyclic(q), cyclic(n), action)
-    G = semidirect(spec, name=f"C{q}:C{n}(r={r})")
-    for j in range(1, n):
-        if any(action[j][x] == x for x in range(1, q)):
-            raise NotFrobenius(f"complement element {j} fixes a nontrivial kernel element")
-    return G
+    return semidirect(ActionSpec(cyclic(q), cyclic(n), action), name=f"C{q}:C{n}(r={r})")
 
 
 def smallest_frobenius_unit(q: int, n: int) -> int:

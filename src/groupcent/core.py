@@ -475,14 +475,22 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     return from_table(table, name=f"{G.name}|H{H.order}")
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, indexed as a * |B| + b. Computed in
-    the factors' uint16: a * |B| + b <= |A| |B| - 1, which the order check
+def _product_table(a: np.ndarray, b: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
+    """The table of the product of the groups with uint16 tables a and b on
+    pairs (x, y), indexed as x * |B| + y: (x1, y1)(x2, y2) is
+    (x1 phi_y1(x2), y1 y2), where row y of the |B| x |A| ``action`` array is
+    phi_y, the identity when it is None. One broadcast in the factors'
+    uint16: x * |B| + y <= |A| |B| - 1, which the caller's order check
     keeps below 2^16."""
-    na, nb = A.order, B.order
-    _check_order(na * nb)
-    table = (A.table[:, None, :, None] * nb + B.table[None, :, None, :]).reshape(na * nb, na * nb)
-    return from_table(table, name=f"{A.name}x{B.name}")
+    na, nb = a.shape[0], b.shape[0]
+    twisted = a[:, None, :] if action is None else a[:, action]  # [x1, y1, x2]
+    return ((twisted * nb)[:, :, :, None] + b[None, :, None, :]).reshape(na * nb, na * nb)
+
+
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
+    """Componentwise product on pairs, indexed as a * |B| + b."""
+    _check_order(A.order * B.order)
+    return from_table(_product_table(A.table, B.table), name=f"{A.name}x{B.name}")
 
 
 # ---------------------------------------------------------------------------

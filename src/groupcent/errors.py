@@ -34,7 +34,9 @@ class BadOrder(GroupTheoryError):
 
 
 class NotFrobenius(GroupTheoryError):
-    """A constructed semidirect product fails the fixed-point-free check."""
+    """A semidirect product fails the fixed-point-free check. No builder
+    raises it, as ``frobenius_cq_cn``'s order check makes its action
+    fixed-point free; it stays importable as a public name."""
 
 
 class NotCentralIso(GroupTheoryError):

@@ -79,6 +79,17 @@ _FAMILIES: dict[str, tuple[Callable[..., FiniteGroup], Callable[..., int], tuple
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
+def _read_int(literal: str, what: str, where: str = "") -> int:
+    """int(literal) for a literal that int() accepts in base 10, or TooLarge
+    naming ``what`` and the digit count when int() refuses it for its length
+    alone, past its digit limit."""
+    try:
+        return int(literal)
+    except ValueError:
+        digits = sum(map(str.isdecimal, literal))
+        raise TooLarge(f"{what} is too large: {digits} digits{where}") from None
+
+
 def _parse_part(text: str, pos: int) -> tuple[AtomicSpec, int]:
     if not text:
         raise SpecParseError(f"empty spec part at position {pos}")
@@ -96,15 +107,12 @@ def _parse_part(text: str, pos: int) -> tuple[AtomicSpec, int]:
             )
         values = []
         for i, (convert, arg) in enumerate(zip(types, args)):
+            if convert is int and _INT_LITERAL.fullmatch(arg):
+                values.append(_read_int(arg, f"{family}: argument {i + 1}", f" (at position {pos})"))
+                continue
             try:
                 values.append(convert(arg))
             except ValueError:
-                if _INT_LITERAL.fullmatch(arg):
-                    # well formed, so refused for its length alone: past int()'s digit limit
-                    raise TooLarge(
-                        f"{family}: argument {i + 1} is too large: "
-                        f"{sum(map(str.isdecimal, arg))} digits (at position {pos})"
-                    ) from None
                 raise SpecParseError(
                     f"{family}: argument {i + 1} must be an integer (at position {pos})"
                 ) from None
@@ -185,7 +193,8 @@ class _GroupFile:
 
 def load_cayley(path) -> FiniteGroup:
     """Read a Cayley-table file: order on the first data line, then that many
-    rows of 0-based indices."""
+    rows of 0-based indices. The order meets the table budget before any row
+    is read."""
     file = _GroupFile(path)
     lines = iter(file)
     lineno, fields = next(lines, (None, None))
@@ -193,7 +202,7 @@ def load_cayley(path) -> FiniteGroup:
         raise FormatError("file contains no data lines")
     if len(fields) != 1 or not fields[0].isdecimal():
         raise FormatError(f"line {lineno}: expected the group order")
-    order = int(fields[0])
+    order = _check_order(_read_int(fields[0], f"line {lineno}: the order"))
     if order < 1:
         raise FormatError(f"line {lineno}: order must be >= 1")
     rows: list[list[int]] = []
@@ -233,7 +242,8 @@ def load_permutations(path) -> FiniteGroup:
     m = _HEADER_RE.fullmatch(" ".join(fields))
     if not m:
         raise FormatError(f"line {lineno}: expected header 'degree <d> generators <g>'")
-    degree, count = int(m[1]), int(m[2])
+    degree = _read_int(m[1], f"line {lineno}: the degree")
+    count = _read_int(m[2], f"line {lineno}: the generator count")
     gens: list[list[int]] = []
     for lineno, fields in lines:
         if len(gens) >= count:

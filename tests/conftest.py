@@ -501,6 +501,30 @@ def formula_heisenberg_table(field):
     return (a3.astype(np.int64) * q + b3) * q + c3
 
 
+def loop_quaternion8_table():
+    """Oracle for constructions.quaternion8: the Hamilton product of the
+    units 1, -1, i, -i, j, -j, k, -k as 4-tuples, indexed in that order."""
+    units = [
+        (1, 0, 0, 0), (-1, 0, 0, 0),
+        (0, 1, 0, 0), (0, -1, 0, 0),
+        (0, 0, 1, 0), (0, 0, -1, 0),
+        (0, 0, 0, 1), (0, 0, 0, -1),
+    ]
+    index = {u: i for i, u in enumerate(units)}
+
+    def hprod(q1, q2):
+        a1, b1, c1, d1 = q1
+        a2, b2, c2, d2 = q2
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    return np.array([[index[hprod(u, v)] for v in units] for u in units], dtype=np.int64)
+
+
 def formula_direct_product_table(A, B):
     """Oracle for core.direct_product: (a1, b1)(a2, b2) = (a1 a2, b1 b2), the
     pair (a, b) indexed as a * |B| + b, in int64."""

@@ -353,6 +353,25 @@ class TestCayleyFiles:
         with pytest.raises(FormatError, match="line 1: expected the group order"):
             load_cayley(f)
 
+    def test_order_past_the_digit_limit_is_too_large(self, tmp_path):
+        f = tmp_path / "big.cayley"
+        f.write_text("9" * 5000 + "\n0\n", encoding="utf-8")
+        with pytest.raises(TooLarge, match=r"^line 1: the order is too large: 5000 digits$"):
+            load_cayley(f)
+
+    def test_order_meets_the_budget_before_any_row_is_read(self, tmp_path):
+        # the row is malformed, so a loader that read it would fail otherwise
+        f = tmp_path / "big.cayley"
+        f.write_text("16385\nx\n", encoding="utf-8")
+        with pytest.raises(TooLarge, match="^order 16385 exceeds 16384"):
+            load_cayley(f)
+
+    def test_file_past_the_digit_limit_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "big.cayley"
+        f.write_text("9" * 5000 + "\n0\n", encoding="utf-8")
+        assert main(["analyze", f"cayley:{f}"]) == 3
+        assert capsys.readouterr().err == "error: line 1: the order is too large: 5000 digits\n"
+
 
 class TestPermutationFiles:
     def test_a5_file(self, tmp_path):
@@ -399,6 +418,26 @@ class TestPermutationFiles:
         f.write_text(f"{header}\n1 2 0\n", encoding="utf-8")
         with pytest.raises(FormatError, match="line 1: expected header"):
             load_permutations(f)
+
+    @pytest.mark.parametrize(
+        "header,what",
+        [
+            ("degree " + "9" * 5000 + " generators 1", "the degree"),
+            ("degree 3 generators " + "9" * 5000, "the generator count"),
+        ],
+        ids=["degree", "count"],
+    )
+    def test_header_number_past_the_digit_limit_is_too_large(self, tmp_path, header, what):
+        f = tmp_path / "big.perm"
+        f.write_text(f"{header}\n1 2 0\n", encoding="utf-8")
+        with pytest.raises(TooLarge, match=f"^line 1: {what} is too large: 5000 digits$"):
+            load_permutations(f)
+
+    def test_file_past_the_digit_limit_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "big.perm"
+        f.write_text("degree " + "9" * 5000 + " generators 1\n0\n", encoding="utf-8")
+        assert main(["analyze", f"perm:{f}"]) == 3
+        assert capsys.readouterr().err == "error: line 1: the degree is too large: 5000 digits\n"
 
 
 class TestAnalyzeCommand:

@@ -50,6 +50,7 @@ from conftest import (
     formula_semidirect_table,
     loop_element_orders,
     loop_permutation_closure,
+    loop_quaternion8_table,
     loop_tabulate_permutations,
 )
 
@@ -61,6 +62,11 @@ class TestNamedFamilies:
     def test_quaternion_single_involution(self):
         g = quaternion8()
         assert sum(1 for o in g.element_orders if o == 2) == 1
+
+    def test_quaternion_matches_the_hamilton_product(self):
+        table = quaternion8().table
+        assert table.dtype == np.uint16
+        assert np.array_equal(table, loop_quaternion8_table())
 
     def test_a4_order_and_center(self):
         g = alternating(4)
@@ -133,6 +139,17 @@ class TestNamedFamilies:
         assert peak["elementary_abelian"] <= peak["dihedral"], peak
 
 
+def inner_action(K, m):
+    """C_m acting on K by conjugation, x -> g^j x g^-j for the first g of
+    order m in K."""
+    g = K.element_orders.index(m)
+    action, power = [], K.identity
+    for _ in range(m):
+        action.append(tuple(K.conj(x, K.inv(power)) for x in K.elements()))
+        power = K.mul(power, g)
+    return ActionSpec(K, cyclic(m), tuple(action))
+
+
 class TestSemidirect:
     def test_trivial_action_is_direct_product(self):
         K, H = cyclic(4), cyclic(3)
@@ -153,15 +170,27 @@ class TestSemidirect:
     def test_non_automorphism_rejected(self):
         K, H = cyclic(4), cyclic(2)
         swap = (0, 2, 1, 3)  # not an automorphism of C4
-        with pytest.raises(NotAnAction):
+        with pytest.raises(NotAnAction, match=r"^action of complement element 1 is not an automorphism$"):
             semidirect(ActionSpec(K, H, (tuple(range(4)), swap)))
 
     def test_non_homomorphism_rejected(self):
-        # phi_1 = inversion forces phi_2 = phi_1 o phi_1 = identity
+        # phi_1 = inversion forces phi_2 = phi_1 o phi_1 = identity; the
+        # first pair whose product fails is (1, 1)
         K, H = cyclic(5), cyclic(4)
         inv = tuple((-x) % 5 for x in range(5))
-        with pytest.raises(NotAnAction):
+        with pytest.raises(NotAnAction, match=r"^action is not a homomorphism at \(1, 1\)$"):
             semidirect(ActionSpec(K, H, (tuple(range(5)), inv, inv, inv)))
+
+    @pytest.mark.parametrize("row", [(0, 1, 2), (0, 1, 1, 3)], ids=["ragged", "repeated"])
+    def test_non_permutation_rejected(self, row):
+        K, H = cyclic(4), cyclic(2)
+        message = r"^action of complement element 1 is not a permutation of the kernel$"
+        with pytest.raises(NotAnAction, match=message):
+            semidirect(ActionSpec(K, H, (tuple(range(4)), row)))
+
+    def test_one_permutation_per_complement_element(self):
+        with pytest.raises(NotAnAction, match=r"^need one permutation per complement element, got 1$"):
+            semidirect(ActionSpec(cyclic(4), cyclic(2), (tuple(range(4)),)))
 
     @pytest.mark.parametrize(
         "spec",
@@ -173,8 +202,12 @@ class TestSemidirect:
             lambda: ActionSpec(elementary_abelian(3, 2), cyclic(2), (
                 tuple(range(9)), tuple(elementary_abelian(3, 2).inverses.tolist())
             )),
+            # non-abelian kernels, acted on by conjugation
+            lambda: inner_action(symmetric(3), 2),
+            lambda: inner_action(alternating(4), 3),
+            lambda: inner_action(symmetric(4), 2),
         ],
-        ids=["C101:C4", "Dih(C3^2)"],
+        ids=["C101:C4", "Dih(C3^2)", "S3:C2", "A4:C3", "S4:C2"],
     )
     def test_matches_int64_formula(self, spec):
         spec = spec()
