@@ -481,10 +481,11 @@ def _product_table(a: np.ndarray, b: np.ndarray, action: np.ndarray | None = Non
     (x1 phi_y1(x2), y1 y2), where row y of the |B| x |A| ``action`` array is
     phi_y, the identity when it is None. One broadcast in the factors'
     uint16: x * |B| + y <= |A| |B| - 1, which the caller's order check
-    keeps below 2^16."""
+    keeps below 2^16. ``np.take`` gathers in C order, where ``a[:, action]``
+    would not, and the reshape would then copy the table."""
     na, nb = a.shape[0], b.shape[0]
-    twisted = a[:, None, :] if action is None else a[:, action]  # [x1, y1, x2]
-    return ((twisted * nb)[:, :, :, None] + b[None, :, None, :]).reshape(na * nb, na * nb)
+    twisted = (a[:, None, :] if action is None else np.take(a, action, axis=1)) * nb  # [x1, y1, x2]
+    return (twisted[:, :, :, None] + b[None, :, None, :]).reshape(na * nb, na * nb)
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:

@@ -112,20 +112,13 @@ class FiniteField:
     @cached_property
     def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
         """exp[i] = g^i for 0 <= i < q - 1 and log[exp[i]] = i, for the
-        generator g; log[0] is an unused 0. In a prime field g^i is
-        stepped on ints, else on digit lists."""
-        q, g = self.order, self.generator()
+        generator g; log[0] is an unused 0."""
+        q, g = self.order, list(self.decode(self.generator()))
         exp = np.ones(q - 1, dtype=np.int32)
-        if self.e == 1:
-            x = 1
-            for i in range(1, q - 1):
-                x = x * g % q
-                exp[i] = x
-        else:
-            x, digits = [1], list(self.decode(g))
-            for i in range(1, q - 1):
-                x = self._times(x, digits)
-                exp[i] = self.encode(x)
+        x = [1]
+        for i in range(1, q - 1):
+            x = self._times(x, g)
+            exp[i] = self.encode(x)
         log = np.zeros(q, dtype=np.int32)
         log[exp] = np.arange(q - 1, dtype=np.int32)
         return exp, log

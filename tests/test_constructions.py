@@ -213,6 +213,20 @@ class TestSemidirect:
         spec = spec()
         assert np.array_equal(semidirect(spec).table, formula_semidirect_table(spec))
 
+    def test_product_table_traced_peak(self):
+        # a large kernel and a small complement: the gathered kernel table,
+        # half the product table, lives beside it, and neither is copied
+        K, H = cyclic(512), cyclic(2)
+        action = np.array([np.arange(512), -np.arange(512) % 512])
+        tracemalloc.start()
+        try:
+            table = constructions._product_table(K.table, H.table, action)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table, formula_semidirect_table(ActionSpec(K, H, action.tolist())))
+        assert peak <= 1.6 * table.nbytes, peak / table.nbytes
+
 
 class TestFrobenius:
     @pytest.mark.parametrize(

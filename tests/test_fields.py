@@ -269,23 +269,3 @@ def test_one_product_builds_no_table():
     f = gf(4001)
     assert f.mul(2, 3) == 6 and f.add(4000, 5) == 4
     assert "mul_table" not in f.__dict__ and "add_table" not in f.__dict__
-
-
-def _digit_list_exp_log(f):
-    """The exp/log pair of f's generator, its powers stepped on digit lists
-    with ``_times`` as an extension field steps them."""
-    q, g = f.order, list(f.decode(f.generator()))
-    exp, x = [1], [1]
-    for _ in range(q - 2):
-        x = f._times(x, g)
-        exp.append(f.encode(x))
-    log = np.zeros(q, dtype=np.int32)
-    log[exp] = np.arange(q - 1, dtype=np.int32)
-    return np.array(exp, dtype=np.int32), log
-
-
-def test_prime_field_exp_log_matches_the_digit_list_walk():
-    for p in [*PRIMES, 16381]:
-        f = gf(p)
-        for got, want in zip(f._exp_log, _digit_list_exp_log(f)):
-            assert got.dtype == want.dtype == np.int32 and got.tobytes() == want.tobytes(), p
