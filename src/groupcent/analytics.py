@@ -463,6 +463,13 @@ def _exact_exp_term(m: int) -> int | None:
     return None
 
 
+def _log2_squared(m: int) -> Decimal:
+    """(log2 m)^2 in 50-digit decimal: m^(log2 m) is 2 to this power."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(m).ln() / Decimal(2).ln()) ** 2
+
+
 def exp_bound_holds(q_order: int, n: int) -> bool | None:
     """Is q_order <= 2*(n-4)^(log2(n-4))?
 
@@ -471,15 +478,13 @@ def exp_bound_holds(q_order: int, n: int) -> bool | None:
     with a relative guard band of 1e-9. None means the values landed inside
     the guard band and the verdict is indeterminate.
     """
-    m = n - 4
-    exact = _exact_exp_term(m)
+    exact = _exact_exp_term(n - 4)
     if exact is not None:
         return q_order <= exact
+    rhs = _log2_squared(n - 4)
     with localcontext() as ctx:
         ctx.prec = 50
-        ln2 = Decimal(2).ln()
-        lhs = (Decimal(q_order) / 2).ln() / ln2
-        rhs = (Decimal(m).ln() / ln2) ** 2
+        lhs = (Decimal(q_order) / 2).ln() / Decimal(2).ln()
         guard = Decimal("1e-9") * max(Decimal(1), abs(rhs))
         if lhs <= rhs - guard:
             return True
@@ -500,8 +505,7 @@ def bounds(n: int, q_order: int) -> BoundReport:
     else:
         with localcontext() as ctx:
             ctx.prec = 50
-            m = Decimal(n - 4)
-            approx = 2 * Decimal(2) ** ((m.ln() / Decimal(2).ln()) ** 2)
+            approx = 2 * Decimal(2) ** _log2_squared(n - 4)
         bound_general = max(float(bound_f), float(approx))
 
     sat_general: bool | None

@@ -26,7 +26,6 @@ from .analytics import (
     central_partition,
     cent_count,
     conjugate_type,
-    exp_bound_holds,
     gcd_condition,
     is_CA_group,
     is_F_group,
@@ -85,6 +84,10 @@ class CheckSettings:
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
     sample_pairs: int = DEFAULT_SAMPLE_PAIRS
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if not isinstance(self.sample_pairs, int) or self.sample_pairs < 0:
+            raise BadParameter(f"sample_pairs must be a non-negative integer, got {self.sample_pairs!r}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,8 @@ def _quotient_order(G: FiniteGroup) -> int:
 
 @memoized
 def _bound_report(G: FiniteGroup) -> BoundReport:
-    """The bound report of G, read by the 1sb and bc1b checks and by analyze."""
+    """The bound report of G, read by the 1sb, bc1b, sb1 and bbc checks and
+    by analyze."""
     return bounds(cent_count(G), _quotient_order(G))
 
 
@@ -410,20 +414,21 @@ def _check_1sb(G, s):
 
 
 def _check_sb1(G, s):
-    n, qz = cent_count(G), _quotient_order(G)
-    if n <= 11:
-        return SKIP, {"reason": f"n = {n} <= 11"}
-    verdict = exp_bound_holds(qz, n)
-    details = {"n": n, "quotient_order": qz}
+    # for n > 11, (n-2)^2 < 2(n-4)^log2(n-4), so the general bound is this one
+    rep = _bound_report(G)
+    if rep.n <= 11:
+        return SKIP, {"reason": f"n = {rep.n} <= 11"}
+    details = {"n": rep.n, "quotient_order": rep.q_order}
+    verdict = rep.satisfied["bound_general"]
     if verdict is None:
         return INDETERMINATE, details
     return (PASS, details) if verdict else (FAIL, details)
 
 
 def _check_bbc(G, s):
-    n, qz = cent_count(G), _quotient_order(G)
-    details = {"n": n, "quotient_order": qz}
-    return (PASS, details) if qz < math.factorial(n - 1) else (FAIL, details)
+    rep = _bound_report(G)
+    details = {"n": rep.n, "quotient_order": rep.q_order}
+    return (PASS, details) if rep.satisfied["factorial_bound"] else (FAIL, details)
 
 
 def _check_xx(G, s):

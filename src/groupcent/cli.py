@@ -123,38 +123,27 @@ def build_analysis(G: FiniteGroup, settings: CheckSettings | None = None) -> dic
         "order": G.order,
         "center_order": _center_elements(G).size,
         "cent_count": None if abelian else cent_count(G),
-    }
-    if abelian:
-        body["conjugate_type"] = None
-        body["flags"] = {
-            "abelian": True,
-            "cyclic": is_cyclic(G),
-            "nilpotent": True,
-            "perfect": is_perfect(G),
-            "f_group": None,
-            "ca_group": None,
-            "i_group": None,
-            "extraspecial": False,
-            "semi_extraspecial": False,
-            "ultraspecial": False,
-        }
-        body["partition"] = None
-        body["bounds"] = None
-    else:
-        ct = conjugate_type(G)
-        body["conjugate_type"] = {"uniform": ct.is_uniform, "m": ct.m, "p": ct.p, "k": ct.k}
-        body["flags"] = {
-            "abelian": False,
-            "cyclic": False,
+        "conjugate_type": None,
+        # a non-abelian group is not cyclic; an abelian one is nilpotent and,
+        # its center being all of it, none of the three p-group kinds below
+        "flags": {
+            "abelian": abelian,
+            "cyclic": abelian and is_cyclic(G),
             "nilpotent": is_nilpotent(G),
             "perfect": is_perfect(G),
-            "f_group": is_F_group(G),
-            "ca_group": is_CA_group(G),
-            "i_group": is_I_group(G),
+            "f_group": None if abelian else is_F_group(G),
+            "ca_group": None if abelian else is_CA_group(G),
+            "i_group": None if abelian else is_I_group(G),
             "extraspecial": is_extraspecial(G),
             "semi_extraspecial": is_semi_extraspecial(G),
             "ultraspecial": is_ultraspecial(G),
-        }
+        },
+        "partition": None,
+        "bounds": None,
+    }
+    if not abelian:
+        ct = conjugate_type(G)
+        body["conjugate_type"] = {"uniform": ct.is_uniform, "m": ct.m, "p": ct.p, "k": ct.k}
         part = central_partition(G)
         body["partition"] = {
             "is_partition": part.is_partition,

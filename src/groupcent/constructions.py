@@ -172,6 +172,8 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
         arr = np.asarray(p, dtype=np.int64)
         if arr.shape != (nk,) or not np.array_equal(np.sort(arr), np.arange(nk)):
             raise NotAnAction(f"action of complement element {h} is not a permutation of the kernel")
+        # uint16 only once in range, so that arr[K.table] is no wider than the table
+        arr = arr.astype(np.uint16)
         if not np.array_equal(arr[K.table], K.table[arr[:, None], arr[None, :]]):
             raise NotAnAction(f"action of complement element {h} is not an automorphism")
         perms[h] = arr

@@ -517,34 +517,34 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
+def _prime_factors(n: int) -> list[tuple[int, int]]:
+    """The (p, k) with p^k exactly dividing n, p ascending, by trial
+    division up to the square root of the cofactor; [] for n < 2."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            factors.append((p, k))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k, or None if n is not a prime power (or n = 1)."""
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p == 0:
-            k, m = 0, n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
+    factors = _prime_factors(n)
+    return factors[0] if len(factors) == 1 else None
 
 
 def largest_prime_divisor(n: int) -> int:
     if n < 2:
         raise BadParameter("largest prime divisor is undefined for n < 2")
-    best = 1
-    m = n
-    for p in range(2, n + 1):
-        if p * p > m:
-            break
-        while m % p == 0:
-            best = p
-            m //= p
-    return m if m > 1 else best
+    return _prime_factors(n)[-1][0]
 
 
 def is_elementary_abelian(G: FiniteGroup, p: int) -> bool:

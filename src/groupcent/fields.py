@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TABLE_ORDER_CAP, _check_order, _shown, is_prime, largest_prime_divisor
+from .core import TABLE_ORDER_CAP, _check_order, _prime_factors, _shown, is_prime
 from .errors import BadParameter, InvariantViolation, NotIrreducible, TooLarge
 
 
@@ -55,17 +55,6 @@ def _irreducible(modulus: tuple[int, ...], p: int) -> bool:
             if not any(_poly_mod(list(modulus), _monic(tail, p, deg), p)):
                 return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n, largest first."""
-    factors = []
-    while n > 1:
-        r = largest_prime_divisor(n)
-        factors.append(r)
-        while n % r == 0:
-            n //= r
-    return factors
 
 
 @dataclass(frozen=True)
@@ -171,7 +160,7 @@ class FiniteField:
         if self._code(a) == 0:
             raise BadParameter("0 has no multiplicative order")
         k = self.order - 1
-        for r in _prime_factors(k):
+        for r, _ in _prime_factors(k):
             while k % r == 0 and self._power(a, k // r) == 1:
                 k //= r
         return k
@@ -182,7 +171,7 @@ class FiniteField:
         target = self.order - 1
         factors = _prime_factors(target)
         found = (a for a in range(1, self.order)
-                 if all(self._power(a, target // r) != 1 for r in factors))
+                 if all(self._power(a, target // r) != 1 for r, _ in factors))
         a = next(found, None)
         if a is None:
             raise InvariantViolation("multiplicative group has no generator")

@@ -183,6 +183,56 @@ def by_check(suite_report, check_id):
     return [r for r in suite_report.results if r.check_id == check_id]
 
 
+def loop_prime_power(n):
+    """Oracle for core.prime_power: trial division up to the first prime
+    divisor p, then n must be a power of p."""
+    if n < 2:
+        return None
+    for p in range(2, n + 1):
+        if p * p > n:
+            return (n, 1)
+        if n % p == 0:
+            k, m = 0, n
+            while m % p == 0:
+                m //= p
+                k += 1
+            return (p, k) if m == 1 else None
+    return None
+
+
+def loop_largest_prime_divisor(n):
+    """Oracle for core.largest_prime_divisor, by trial division."""
+    best = 1
+    m = n
+    for p in range(2, n + 1):
+        if p * p > m:
+            break
+        while m % p == 0:
+            best = p
+            m //= p
+    return m if m > 1 else best
+
+
+def loop_prime_factors(n):
+    """Oracle for core._prime_factors: the distinct primes, largest first,
+    by repeated loop_largest_prime_divisor, then each one's multiplicity,
+    as ascending (p, k) pairs."""
+    primes, m = [], n
+    while m > 1:
+        r = loop_largest_prime_divisor(m)
+        primes.append(r)
+        while m % r == 0:
+            m //= r
+    factors = []
+    for r in reversed(primes):
+        k, m = 0, n
+        while m % r == 0:
+            m //= r
+            k += 1
+        factors.append((r, k))
+    return factors
+
+
 def brute_force_bad_triple(table):
     """Oracle for from_table's associativity test: the O(n^3) scan over every
     triple. Returns the first (i, j, k) with (ij)k != i(jk), scanning k

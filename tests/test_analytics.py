@@ -20,6 +20,7 @@ from groupcent import (
     dihedral,
     direct_product,
     elementary_abelian,
+    exp_bound_holds,
     extraspecial2,
     frobenius_cq_cn,
     gcd_condition,
@@ -487,6 +488,14 @@ class TestBounds:
         assert rep.satisfied["bound_general"] is True
         rep2 = bounds(13, 4000)
         assert rep2.satisfied["bound_general"] is False
+
+    def test_general_verdict_above_eleven_is_the_exponential_one(self):
+        # the sb1 check reads bound_general for n > 11, where (n-2)^2 lies
+        # below 2(n-4)^log2(n-4); q runs across both
+        for n in range(12, 64):
+            edge = int(bounds(n, 1).bound_general)
+            for q in (1, (n - 2) ** 2, (n - 2) ** 2 + 1, edge - 1, edge, edge + 1):
+                assert bounds(n, q).satisfied["bound_general"] == exp_bound_holds(q, n), (n, q)
 
     def test_factorial_strictness(self):
         assert bounds(4, 6).satisfied["factorial_bound"] is False  # 6 = 3! not < 3!

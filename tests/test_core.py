@@ -69,6 +69,9 @@ from conftest import (
     brute_force_inverses,
     formula_direct_product_table,
     loop_element_orders,
+    loop_largest_prime_divisor,
+    loop_prime_factors,
+    loop_prime_power,
     right_closure,
     table_derived_subgroup,
     table_generated_subgroup,
@@ -777,20 +780,38 @@ class TestIsomorphic:
 
 
 class TestNumberTheoryHelpers:
-    @pytest.mark.parametrize("n,want", [(12, 3), (42, 7), (128, 2), (97, 97)])
+    @pytest.mark.parametrize(
+        "n,want",
+        [(12, 3), (42, 7), (128, 2), (97, 97), (2, 2), (16381, 16381), (16383, 127), (16384, 2)],
+    )
     def test_largest_prime_divisor(self, n, want):
         assert largest_prime_divisor(n) == want
 
     def test_largest_prime_divisor_undefined(self):
-        with pytest.raises(BadParameter):
-            largest_prime_divisor(1)
+        for n in (0, 1):
+            with pytest.raises(BadParameter, match=r"^largest prime divisor is undefined for n < 2$"):
+                largest_prime_divisor(n)
 
     def test_prime_power(self):
         assert prime_power(8) == (2, 3)
         assert prime_power(81) == (3, 4)
         assert prime_power(12) is None
         assert prime_power(1) is None
+        assert prime_power(0) is None
         assert prime_power(7) == (7, 1)
+        assert prime_power(2) == (2, 1)
+        assert prime_power(16381) == (16381, 1)
+        assert prime_power(16383) is None  # 3 * 43 * 127
+        assert prime_power(16384) == (2, 14)
+
+    def test_factorization_matches_the_trial_division_loops(self):
+        # every order up to the table cap, and the n < 2 cases
+        for n in range(-1, 2**14 + 1):
+            factors = core._prime_factors(n)
+            assert factors == loop_prime_factors(n), n
+            assert prime_power(n) == loop_prime_power(n), n
+            if n >= 2:
+                assert largest_prime_divisor(n) == loop_largest_prime_divisor(n), n
 
 
 def _holds_group_object(value) -> bool:

@@ -7,7 +7,8 @@ derived subgroup and nilpotency decide the expected values. S6 and A6 are
 compared with sympy's own groups on 6 points: their regular representations
 would compose 720^3 entries. Random permutation groups, which reach groups
 outside the builder families, are compared with sympy on their own points
-and with the loop oracles of conftest.
+and with the loop oracles of conftest. The prime factorization behind
+prime_power and largest_prime_divisor is compared with sympy's factorint.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ from groupcent import (
     quaternion8,
     symmetric,
 )
-from groupcent.core import _generators
+from groupcent.core import _generators, _prime_factors
 
 from conftest import assert_centralizers_match_loops, brute_force_inverses, loop_element_orders
 
@@ -155,3 +156,8 @@ def test_permutation_groups_match_sympy_and_the_loop_oracles(drawn):
         # the centralizer record, the F and CA flags and the pair checks,
         # exhaustive up to order 64 and sampled at every order
         assert_centralizers_match_loops(g, [CheckSettings(), CheckSettings(exhaustive_cap=0)])
+
+
+def test_prime_factors_match_sympy():
+    for n in range(2**14 + 1):
+        assert _prime_factors(n) == sorted(sympy.factorint(n).items() if n >= 2 else []), n

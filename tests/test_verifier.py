@@ -47,7 +47,7 @@ from groupcent import (
 from groupcent.analytics import ConjugateTypeReport
 from groupcent.cli import _load_catalog_file, build_analysis
 from groupcent.checks import DEFAULT_SEED, _known_family, _pair_verdict, _quotient_is_elementary, check_ids
-from groupcent.errors import InvariantViolation, UnknownCheckId
+from groupcent.errors import BadParameter, InvariantViolation, UnknownCheckId
 from groupcent.specs import parse_spec
 
 from conftest import (
@@ -126,6 +126,12 @@ class TestRunCheck:
         got = run_check("np1", g, CheckSettings(sample_pairs=0))
         assert (got.status, dict(got.details)) == ("pass", {"mode": "sampled", "pairs": 0})
 
+    @pytest.mark.parametrize("bad", [-1, 2.5, "200"], ids=["negative", "float", "str"])
+    def test_sample_pairs_must_be_a_non_negative_integer(self, bad):
+        # a negative count reached random.getrandbits, whose ValueError lost every suite row
+        with pytest.raises(BadParameter, match=r"^sample_pairs must be a non-negative integer, got "):
+            CheckSettings(sample_pairs=bad)
+
     def test_bound_report_is_computed_once_per_group(self, monkeypatch):
         g = symmetric(4)
         cold = {cid: run_check(cid, g) for cid in ("1sb", "bc1b")}
@@ -140,6 +146,8 @@ class TestRunCheck:
             warm = run_check(cid, g)
             assert warm == row and (warm.status, warm.details) == ("pass", want)
         assert build_analysis(g) == body
+        # sb1 and bbc, run for the first time, read the same report
+        assert run_check("sb1", g).status == run_check("bbc", g).status == "pass"
         with pytest.raises(RuntimeError, match="bounds recomputed"):
             run_check("1sb", symmetric(4))
 
@@ -594,7 +602,7 @@ class TestPlantedBoundFailures:
     @pytest.mark.parametrize(
         "cid,module,want",
         [
-            ("sb1", checks, {"n": 12, "quotient_order": 1025}),
+            ("sb1", analytics, {"n": 12, "quotient_order": 1025}),
             # the bound report reaches the comparison only above (n-2)^2
             ("1sb", analytics, {"n": 12, "quotient_order": 1025, "bound_general": 1024}),
         ],
@@ -606,6 +614,13 @@ class TestPlantedBoundFailures:
         monkeypatch.setattr(module, "exp_bound_holds", lambda q_order, n: None)
         got = run_check(cid, g)
         assert (got.status, dict(got.details)) == ("indeterminate", want)
+
+    def test_sb1_passes_between_the_two_bounds(self, monkeypatch):
+        # n = 12: (n-2)^2 = 100 < 1024 = 2 (n-4)^log2(n-4), exactly
+        monkeypatch.setattr(checks, "cent_count", lambda G: 12)
+        monkeypatch.setattr(checks, "_quotient_order", lambda G: 1024)
+        got = run_check("sb1", symmetric(3))
+        assert (got.status, dict(got.details)) == ("pass", {"n": 12, "quotient_order": 1024})
 
 
 def _partition_plant(**fields):
