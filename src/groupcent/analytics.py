@@ -478,6 +478,8 @@ def exp_bound_holds(q_order: int, n: int) -> bool | None:
     with a relative guard band of 1e-9. None means the values landed inside
     the guard band and the verdict is indeterminate.
     """
+    if q_order < 1:
+        raise BadN("quotient order must be positive")
     exact = _exact_exp_term(n - 4)
     if exact is not None:
         return q_order <= exact
@@ -497,6 +499,8 @@ def bounds(n: int, q_order: int) -> BoundReport:
     """Bound report for a group with |Cent| = n and |G/Z| = q_order."""
     if n < 4:
         raise BadN(f"bounds are defined for n >= 4, got {n}")
+    if q_order < 1:
+        raise BadN("quotient order must be positive")
     bound_f = (n - 2) ** 2
     factorial_bound = math.factorial(n - 1)
     exact = _exact_exp_term(n - 4)

@@ -1,10 +1,10 @@
 """Builders for the group families used throughout the catalog.
 
-Every builder routes its table through ``from_table`` validation, so a value
-returned from here is a checked group, not just a plausible one. Every
-builder writes its table in uint16 (``cyclic`` as a view), and
-``elementary_abelian`` and ``semidirect`` write theirs through
-``core._product_table``, as ``direct_product`` does.
+Every family builder routes its table through ``from_table`` validation.
+``semidirect`` and ``central_product`` (through ``direct_product`` and
+``quotient``) run no Light's test: their own checks make the result a group.
+Every builder writes its table in uint16 (``cyclic`` as a view), and
+``elementary_abelian`` and ``semidirect`` use ``core._product_table``.
 
 Each spec family's parameter domain is one private ``_check_*`` function,
 the first step of its builder: it returns the order of the group through
@@ -25,6 +25,7 @@ from .core import (
     FiniteGroup,
     Subgroup,
     _check_order,
+    _group,
     _product_table,
     _shown,
     center,
@@ -169,8 +170,9 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
         raise NotAnAction(f"need one permutation per complement element, got {len(spec.action)}")
     perms = np.empty((nh, nk), dtype=np.int64)  # row h is action[h]
     for h, p in enumerate(spec.action):
-        arr = np.asarray(p, dtype=np.int64)
-        if arr.shape != (nk,) or not np.array_equal(np.sort(arr), np.arange(nk)):
+        arr = np.asarray(p)  # not cast: an int64 cast would truncate floats
+        integral = arr.shape == (nk,) and np.issubdtype(arr.dtype, np.integer)
+        if not integral or not np.array_equal(np.sort(arr), np.arange(nk)):
             raise NotAnAction(f"action of complement element {h} is not a permutation of the kernel")
         # uint16 only once in range, so that arr[K.table] is no wider than the table
         arr = arr.astype(np.uint16)
@@ -182,7 +184,9 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
         wrong = (perms[H.table[h1]] != perms[h1][perms]).any(axis=1)
         if wrong.any():
             raise NotAnAction(f"action is not a homomorphism at ({h1}, {int(wrong.argmax())})")
-    return from_table(_product_table(K.table, H.table, perms), name=name or f"{K.name}:{H.name}")
+    # automorphisms and a homomorphism make this a group law: no Light's test
+    table = _product_table(K.table, H.table, perms)
+    return _group(table, name or f"{K.name}:{H.name}", K.identity * nh + H.identity)
 
 
 def _check_frobenius(q: int, n: int, r: int) -> int:
@@ -314,8 +318,9 @@ def from_permutations(degree: int, generators, name: str | None = None) -> Finit
         raise BadParameter("degree must be >= 1")
     gens: list[tuple[int, ...]] = []
     for g in generators:
-        p = tuple(int(v) for v in g)
-        if sorted(p) != list(range(degree)):
+        arr = np.asarray(g)  # not cast: int() would truncate floats
+        p = tuple(arr.tolist())
+        if not np.issubdtype(arr.dtype, np.integer) or sorted(p) != list(range(degree)):
             raise NotAPermutation(f"{p} is not a permutation of 0..{degree - 1}")
         gens.append(p)
 

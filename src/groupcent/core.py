@@ -31,9 +31,9 @@ from .errors import (
 # call it: they recognize groups from invariants, with no order cap.
 ISOMORPHISM_ORDER_CAP = 512
 
-# The one size rule: a uint16 table of this order takes 512 MiB. A build plus
-# analyze peaks at about 5.5 times its table (D16384 2.85 GB, E8192 2.87 GB,
-# Heis(25) 3.06 GB on a 2 vCPU, 8 GB machine), so 2^15 would need ~11 GB.
+# The one size rule: a uint16 table of this order takes 512 MiB. A validated
+# build plus analyze peaks at about 5 times its table (D16384 2.59 GB, Heis(25)
+# 2.36 GB on a 2 vCPU, 8 GB machine), so 2^15 would need ~10 GB.
 TABLE_ORDER_CAP = 2**14
 
 
@@ -73,8 +73,8 @@ class FiniteGroup:
     Derived data (center, centralizer rows, predicates) is memoized on the
     instance as arrays and plain values that never point back at the group,
     so it is computed once, and a dropped group is freed at once by refcount.
-    ``from_table`` also stores the generating set it validated on in the
-    memo, so no analysis has to find one again.
+    The greedy generating set is memoized when Light's test in ``from_table``
+    asks for it, so no analysis has to find it again.
     """
 
     __slots__ = ("name", "order", "table", "identity", "inverses", "element_orders", "_memo")
@@ -183,21 +183,14 @@ def _adjoin(table: np.ndarray, reached: np.ndarray, gens: list[int], new: Iterab
     generator s with t = rs unreached, it marks the coset Ht in one gather
     and takes t as a new representative. In a group these cosets fill the
     subgroup generated so far, so the result is what an element-wise closure
-    reaches. The first generator has H = {e}, so its powers are walked one
-    element at a time. Every marked element is a product of marked
-    elements, hence of the generators, on any magma with an identity, which
-    is what keeps Light's test exact on tables that are not groups.
+    reaches. Every marked element is a product of marked elements, hence of
+    the generators, on any magma with an identity, which is what keeps
+    Light's test exact on tables that are not groups.
     """
     for g in map(int, new):
         if reached[g]:
             continue
         gens.append(g)
-        if len(gens) == 1:
-            x = g
-            while not reached[x]:
-                reached[x] = True
-                x = int(table[x, g])
-            continue
         h = np.flatnonzero(reached)
         reached[table[h, g]] = True
         reps = [g]
@@ -255,6 +248,15 @@ def _element_orders(arr: np.ndarray, identity: int) -> tuple[tuple[int, ...], np
     return tuple(orders.tolist()), inverses
 
 
+def _group(table: np.ndarray, name: str, identity: int) -> FiniteGroup:
+    """The one constructor from a fresh uint16 table with a known identity:
+    freezes it in place, uncopied, and walks the powers for the orders and
+    inverses. ``from_table`` runs Light's test next; other callers need none."""
+    table.setflags(write=False)
+    element_orders, inverses = _element_orders(table, identity)
+    return FiniteGroup(name, table, identity, inverses, element_orders)
+
+
 def from_table(table, name: str = "G") -> FiniteGroup:
     """Build a validated group from a square table of element indices.
 
@@ -267,7 +269,10 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     The group keeps a read-only uint16 copy of the table, so the caller's
     array is never frozen or aliased.
     """
-    src = np.asarray(table)
+    try:
+        src = np.asarray(table)
+    except ValueError:  # numpy refuses rows of unequal length
+        raise NotAGroup("table must be square, got rows of unequal length") from None
     if src.ndim != 2 or src.shape[0] != src.shape[1]:
         raise NotAGroup(f"table must be square, got shape {src.shape}")
     n = _check_order(src.shape[0])
@@ -277,7 +282,6 @@ def from_table(table, name: str = "G") -> FiniteGroup:
     if not np.issubdtype(src.dtype, np.integer) or src.min() < 0 or src.max() >= n:
         raise NotAGroup(f"table entries must be integers in [0, {n})")
     arr = np.array(src, dtype=np.uint16)
-    arr.setflags(write=False)
 
     # an identity e has e e = e, so only the diagonal's fixed points are tried
     expect = np.arange(n, dtype=arr.dtype)
@@ -288,11 +292,8 @@ def from_table(table, name: str = "G") -> FiniteGroup:
         raise NotAGroup("no two-sided identity element")
 
     # walked first: a table with a non-unit can take n - 1 generators to Light
-    element_orders, inverses = _element_orders(arr, identity)
-    gens = _greedy_generators(arr, identity)
-    _validate_light_associativity(arr, gens)
-    G = FiniteGroup(name, arr, identity, inverses, element_orders)
-    G._memo[_generators.__wrapped__] = gens
+    G = _group(arr, name, identity)
+    _validate_light_associativity(arr, _generators(G))
     return G
 
 
@@ -400,9 +401,9 @@ def conjugate_elements(G: FiniteGroup, elems: Sequence[int], g: int) -> np.ndarr
 
 @memoized
 def _generators(G: FiniteGroup) -> tuple[int, ...]:
-    """A small generating set: the one ``from_table`` validated on. A finite
-    set that conjugation by each of these maps into itself is invariant
-    under the whole group."""
+    """A small generating set: the one Light's test in ``from_table`` runs
+    on. A finite set that conjugation by each of these maps into itself is
+    invariant under the whole group."""
     return _greedy_generators(G.table, G.identity)
 
 
@@ -461,18 +462,16 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientResult:
     if not is_normal(G, N):
         raise NotNormal(f"{N.elements} is not normal in {G.name}")
     reps, label = _coset_labels(G, np.asarray(N.elements, dtype=np.int64))
-    q = from_table(label[G.table[np.ix_(reps, reps)]], name=f"{G.name}/N{N.order}")
+    q = _group(label[G.table[np.ix_(reps, reps)]], f"{G.name}/N{N.order}", int(label[G.identity]))
     return QuotientResult(q, tuple(label.tolist()), N)
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     """H with its inherited product, reindexed to 0..|H|-1."""
     elems = _require_subgroup(G, H)
-    # H is closed, so every product is in elems; the fill is out of range for from_table
-    pos = np.full(G.order, TABLE_ORDER_CAP, dtype=np.uint16)
+    pos = np.empty(G.order, dtype=np.uint16)  # H is closed: only entries at elems are read
     pos[elems] = np.arange(elems.size, dtype=np.uint16)
-    table = pos[G.table[np.ix_(elems, elems)]]
-    return from_table(table, name=f"{G.name}|H{H.order}")
+    return _group(pos[G.table[np.ix_(elems, elems)]], f"{G.name}|H{H.order}", int(pos[G.identity]))
 
 
 def _product_table(a: np.ndarray, b: np.ndarray, action: np.ndarray | None = None) -> np.ndarray:
@@ -491,7 +490,7 @@ def _product_table(a: np.ndarray, b: np.ndarray, action: np.ndarray | None = Non
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed as a * |B| + b."""
     _check_order(A.order * B.order)
-    return from_table(_product_table(A.table, B.table), name=f"{A.name}x{B.name}")
+    return _group(_product_table(A.table, B.table), f"{A.name}x{B.name}", A.identity * B.order + B.identity)
 
 
 # ---------------------------------------------------------------------------

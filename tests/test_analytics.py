@@ -504,6 +504,15 @@ class TestBounds:
         with pytest.raises(BadN):
             bounds(3, 4)
 
+    # n = 20 takes the exact branch (16 = 2^4) and n = 21 the decimal one,
+    # where ln(-3/2) raised decimal.InvalidOperation
+    @pytest.mark.parametrize("n", [20, 21])
+    @pytest.mark.parametrize("q", [0, -3])
+    def test_quotient_order_below_one_refused(self, n, q):
+        for bound in (lambda: bounds(n, q), lambda: exp_bound_holds(q, n), lambda: gcd_condition(n, q)):
+            with pytest.raises(BadN, match=r"^quotient order must be positive$"):
+                bound()
+
 
 class TestGcdCondition:
     def test_examples(self):

@@ -10,6 +10,7 @@ from groupcent import (
     alternating,
     center,
     central_product,
+    centralizer,
     cyclic,
     derived_subgroup,
     dihedral,
@@ -27,11 +28,14 @@ from groupcent import (
     isomorphic,
     prime_power,
     quaternion8,
+    quotient,
     semidirect,
     smallest_frobenius_unit,
+    subgroup_as_group,
     symmetric,
 )
-from groupcent import build_group, constructions, parse_spec
+from groupcent import build_group, constructions, core, parse_spec
+from groupcent.specs import load_cayley, load_permutations, save_cayley
 from groupcent.errors import (
     BadOrder,
     BadParameter,
@@ -52,6 +56,7 @@ from conftest import (
     loop_permutation_closure,
     loop_quaternion8_table,
     loop_tabulate_permutations,
+    relabel_group,
 )
 
 
@@ -181,9 +186,12 @@ class TestSemidirect:
         with pytest.raises(NotAnAction, match=r"^action is not a homomorphism at \(1, 1\)$"):
             semidirect(ActionSpec(K, H, (tuple(range(5)), inv, inv, inv)))
 
-    # 65536 read as uint16 would be 0, and the row the identity
+    # 65536 read as uint16 would be 0, and the row the identity; the floats
+    # read as int64 would be (0, 3, 2, 1), the automorphism x -> -x
     @pytest.mark.parametrize(
-        "row", [(0, 1, 2), (0, 1, 1, 3), (65536, 1, 2, 3)], ids=["ragged", "repeated", "past-uint16"]
+        "row",
+        [(0, 1, 2), (0, 1, 1, 3), (65536, 1, 2, 3), (0.4, 3.9, 2.2, 1.7)],
+        ids=["ragged", "repeated", "past-uint16", "floats"],
     )
     def test_non_permutation_rejected(self, row):
         K, H = cyclic(4), cyclic(2)
@@ -236,7 +244,7 @@ class TestSemidirect:
         K, H = cyclic(1024), cyclic(2)
         action = (tuple(range(1024)), tuple(-x % 1024 for x in range(1024)))
         monkeypatch.setattr(constructions, "_product_table", lambda *args: None)
-        monkeypatch.setattr(constructions, "from_table", lambda table, name: None)
+        monkeypatch.setattr(constructions, "_group", lambda table, name, identity: None)
         tracemalloc.start()
         try:
             semidirect(ActionSpec(K, H, action))
@@ -424,6 +432,11 @@ class TestFromPermutations:
         with pytest.raises(NotAPermutation):
             from_permutations(3, [(0, 0, 2)])
 
+    def test_float_images_are_not_truncated(self):
+        # int() would read the generator as the transposition (1, 0, 2)
+        with pytest.raises(NotAPermutation, match=r"^\(1\.5, 0\.2, 2\.7\) is not a permutation of 0\.\.2$"):
+            from_permutations(3, [[1.5, 0.2, 2.7]])
+
     def test_tables_match_loop_oracle(self):
         cases = []
         for n in range(1, 6):
@@ -496,4 +509,116 @@ def test_every_builder_output_revalidates():
         assert brute_force_bad_triple(g.table) is None
         rebuilt = from_table(g.table, name=g.name)
         assert rebuilt.element_orders == g.element_orders
+        assert rebuilt.identity == g.identity and np.array_equal(rebuilt.inverses, g.inverses)
+        assert core._generators(rebuilt) == core._generators(g)
         assert g.element_orders == loop_element_orders(g.table, g.identity)
+
+
+def relabelled_factors(oracle_pool):
+    """One relabelled pool group (identity away from 0) of each order up to
+    64, smallest first."""
+    by_order = {g.order: g for g in oracle_pool if g.identity != 0 and g.order <= 64}
+    return [by_order[n] for n in sorted(by_order)]
+
+
+def inner_involution_spec(K):
+    """K by a relabelled C2 acting by conjugation with K's first involution."""
+    t = K.element_orders.index(2)
+    H = relabel_group(cyclic(2), [1, 0])  # identity at 1
+    action = [None, None]
+    action[H.identity] = tuple(K.elements())
+    action[1 - H.identity] = tuple(K.conj(x, t) for x in K.elements())
+    return ActionSpec(K, H, tuple(action))
+
+
+def constructions_of(oracle_pool):
+    """construction -> the groups it makes from relabelled pool groups, at
+    two orders or more each."""
+    pool = relabelled_factors(oracle_pool)
+    nonabelian = [g for g in pool if not is_abelian(g)]
+    centered = [g for g in nonabelian if center(g).order > 1]
+    pairable = [g for g in oracle_pool if g.identity != 0 and g.order <= 16 and center(g).order == 2 < g.order]
+
+    def first_noncentral(g):
+        return int(np.argmax(core._centralizer_orders(g) < g.order))
+
+    return {
+        "direct_product": [direct_product(a, b) for a, b in zip(pool[:3], pool[3:6])],
+        "quotient": [quotient(g, center(g)).quotient for g in centered[:3]]
+        + [quotient(g, derived_subgroup(g)).quotient for g in nonabelian[:3]],
+        "subgroup_as_group": [subgroup_as_group(g, centralizer(g, first_noncentral(g))) for g in nonabelian[:3]]
+        + [subgroup_as_group(g, derived_subgroup(g)) for g in nonabelian[3:6]],
+        "semidirect": [semidirect(inner_involution_spec(K)) for K in pool if 2 in K.element_orders][:3],
+        "central_product": [central_product(a, b) for a, b in zip(pairable[:3], pairable[1:4])],
+    }
+
+
+class TestValidationBoundary:
+    """direct_product, quotient, subgroup_as_group, semidirect and
+    central_product hand their tables to core._group with no Light's test."""
+
+    def test_constructions_equal_their_revalidated_tables(self, oracle_pool):
+        for kind, groups in constructions_of(oracle_pool).items():
+            assert len({g.order for g in groups}) >= 2, kind
+            assert any(g.identity != 0 for g in groups), kind
+            for g in groups:
+                name = (kind, g.name)
+                rebuilt = from_table(g.table)
+                assert g.identity == rebuilt.identity, name
+                assert np.array_equal(g.inverses, rebuilt.inverses), name
+                assert g.element_orders == rebuilt.element_orders, name
+                assert core._generators(g) == core._generators(rebuilt), name
+                if g.order <= 64:
+                    assert brute_force_bad_triple(g.table) is None, name
+
+    def test_only_the_constructions_skip_light(self, monkeypatch, tmp_path):
+        d8, q8, s3 = dihedral(8), quaternion8(), symmetric(3)
+        doubling = tuple(tuple(x * 2**j % 7 for x in range(7)) for j in range(3))
+        c7, c3 = cyclic(7), cyclic(3)
+        cayley, perm = tmp_path / "d8.cayley", tmp_path / "s3.perm"
+        save_cayley(d8, cayley)
+        perm.write_text("degree 3 generators 2\n1 0 2\n0 2 1\n")
+
+        def fail(arr, gens):
+            raise AssertionError("Light's test ran")
+
+        monkeypatch.setattr(core, "_validate_light_associativity", fail)
+        assert direct_product(d8, s3).order == 48
+        assert quotient(d8, center(d8)).quotient.order == 4
+        assert subgroup_as_group(s3, derived_subgroup(s3)).order == 3
+        assert semidirect(ActionSpec(c7, c3, doubling)).order == 21
+        assert central_product(d8, q8).order == 32
+        for build in (
+            lambda: from_table(d8.table),
+            lambda: load_cayley(cayley),
+            lambda: load_permutations(perm),
+            lambda: cyclic(5),
+            lambda: elementary_abelian(2, 3),
+            lambda: dihedral(10),
+            quaternion8,
+            lambda: symmetric(3),
+            lambda: alternating(4),
+            lambda: heisenberg(gf(3)),
+            lambda: frobenius_cq_cn(5, 4, 2),
+            lambda: extraspecial2(2, "minus"),
+            lambda: from_permutations(4, [(1, 2, 3, 0)]),
+        ):
+            with pytest.raises(AssertionError, match="^Light's test ran$"):
+                build()
+
+    def test_fresh_table_is_frozen_not_copied(self):
+        table = dihedral(12).table.copy()
+        g = core._group(table, "D12 fresh", dihedral(12).identity)
+        assert g.table is table and not table.flags.writeable
+
+    def test_direct_product_traced_peak(self):
+        # the product table and the power walk's arrays: no copy, and no
+        # n x n gather of Light's test
+        a, b = dihedral(64), cyclic(32)
+        tracemalloc.start()
+        try:
+            g = direct_product(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * g.table.nbytes, peak / g.table.nbytes

@@ -151,6 +151,11 @@ class TestFromTable:
         with pytest.raises(NotAGroup, match="square"):
             from_table([[0, 1, 2], [1, 2, 0]])
 
+    def test_ragged_rows_rejected(self):
+        # numpy raises a bare ValueError on rows of unequal length
+        with pytest.raises(NotAGroup, match=r"^table must be square, got rows of unequal length$"):
+            from_table([[0, 1], [1]])
+
     @pytest.mark.parametrize(
         "table,match",
         [
