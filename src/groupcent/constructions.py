@@ -1,10 +1,9 @@
 """Builders for the group families used throughout the catalog.
 
-Every family builder routes its table through ``from_table`` validation.
-``semidirect`` and ``central_product`` (through ``direct_product`` and
-``quotient``) run no Light's test: their own checks make the result a group.
-Every builder writes its table in uint16 (``cyclic`` as a view), and
-``elementary_abelian`` and ``semidirect`` use ``core._product_table``.
+Each builder's table is a group by construction (a formula, a product, a
+permutation closure or ``semidirect``'s action tests), so it goes to
+``core._group`` with no Light's test or copy; only ``dihedral`` keeps
+``from_table``. All write uint16; products use ``core._product_table``.
 
 Each spec family's parameter domain is one private ``_check_*`` function,
 the first step of its builder: it returns the order of the group through
@@ -61,7 +60,7 @@ def _cyclic_table(n: int) -> np.ndarray:
 
 def cyclic(n: int) -> FiniteGroup:
     _check_cyclic(n)
-    return from_table(_cyclic_table(n), name=f"C{n}")
+    return _group(np.ascontiguousarray(_cyclic_table(n)), f"C{n}", 0)
 
 
 def _check_elementary_abelian(p: int, k: int) -> int:
@@ -85,7 +84,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     for _ in range(k):
         table = _product_table(_cyclic_table(p), table)
     name = f"C{p}^{k}" if k != 1 else f"C{p}"
-    return from_table(table, name=name)
+    return _group(table, name, 0)
 
 
 def _check_dihedral(two_n: int) -> int:
@@ -108,6 +107,7 @@ def dihedral(two_n: int) -> FiniteGroup:
     table %= half
     table[:half, half:] += half
     table[half:, :half] += half
+    # stays on from_table: without its copy, glibc keeps more free heap after the bench's D1030
     return from_table(table, name=f"D{two_n}")
 
 
@@ -118,7 +118,7 @@ def quaternion8() -> FiniteGroup:
     u, s = np.divmod(np.arange(8, dtype=np.uint16), 2)
     neg = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint16)
     table = 2 * (u[:, None] ^ u) + (s[:, None] ^ s ^ neg[u[:, None], u])
-    return from_table(table, name="Q8")
+    return _group(table, "Q8", 0)
 
 
 def _check_degree(n: int, index: int = 1) -> int:
@@ -170,7 +170,10 @@ def semidirect(spec: ActionSpec, name: str | None = None) -> FiniteGroup:
         raise NotAnAction(f"need one permutation per complement element, got {len(spec.action)}")
     perms = np.empty((nh, nk), dtype=np.int64)  # row h is action[h]
     for h, p in enumerate(spec.action):
-        arr = np.asarray(p)  # not cast: an int64 cast would truncate floats
+        try:
+            arr = np.asarray(p)  # not cast: an int64 cast would truncate floats
+        except ValueError:  # numpy refuses nested sequences of unequal length
+            arr = np.asarray(p, dtype=object)
         integral = arr.shape == (nk,) and np.issubdtype(arr.dtype, np.integer)
         if not integral or not np.array_equal(np.sort(arr), np.arange(nk)):
             raise NotAnAction(f"action of complement element {h} is not a permutation of the kernel")
@@ -305,20 +308,24 @@ def heisenberg(field: FiniteField) -> FiniteGroup:
     # c + c' + a*b' over the axes (a, c, b', c')
     c3 = add[add[None, :, None, :], mul[:, None, :, None]][:, None, :, None, :, :]
     table = ((a3 * q + b3) * q + c3).reshape(q**3, q**3)
-    return from_table(table, name=f"Heis({q})")
+    return _group(table, f"Heis({q})", 0)
 
 
 def from_permutations(degree: int, generators, name: str | None = None) -> FiniteGroup:
     """Group generated by permutations of {0..degree-1}, numbered by the rank
     of their tuples; the product of a and b is the tuple a[b]. The closure
     finds each element y as g y' for a generator g and an element y' found
-    before it, and stops with TooLarge once it passes the table budget. Row
-    y is then g's left multiplication, from ranks to ranks, gathered at row y'."""
+    before it, and stops with TooLarge past the table budget. Row y is g's
+    left multiplication gathered at row y': a left multiplication by a product
+    of generators. Permutations compose associatively, so the table is a group."""
     if degree < 1:
         raise BadParameter("degree must be >= 1")
     gens: list[tuple[int, ...]] = []
     for g in generators:
-        arr = np.asarray(g)  # not cast: int() would truncate floats
+        try:
+            arr = np.asarray(g)  # not cast: int() would truncate floats
+        except ValueError:  # numpy refuses nested sequences of unequal length
+            arr = np.asarray(g, dtype=object)
         p = tuple(arr.tolist())
         if not np.issubdtype(arr.dtype, np.integer) or sorted(p) != list(range(degree)):
             raise NotAPermutation(f"{p} is not a permutation of 0..{degree - 1}")
@@ -346,4 +353,4 @@ def from_permutations(degree: int, generators, name: str | None = None) -> Finit
     table[0] = np.arange(m)  # the identity sorts first
     for y, (parent, s) in enumerate(parents[1:], start=1):
         table[rank[y]] = left[s, table[rank[parent]]]
-    return from_table(table, name=name or f"P{degree}({m})")
+    return _group(table, name or f"P{degree}({m})", 0)

@@ -31,9 +31,11 @@ from .errors import (
 # call it: they recognize groups from invariants, with no order cap.
 ISOMORPHISM_ORDER_CAP = 512
 
-# The one size rule: a uint16 table of this order takes 512 MiB. A validated
-# build plus analyze peaks at about 5 times its table (D16384 2.59 GB, Heis(25)
-# 2.36 GB on a 2 vCPU, 8 GB machine), so 2^15 would need ~10 GB.
+# The one size rule: a uint16 table of this order takes 512 MiB. A build plus
+# analyze peaks at about 1.6 times its table when the builder hands it to
+# _group (C16384 832 MB, Heis(25) 759 MB), and at 5 times through from_table's
+# copy and Light's test (D16384 2.59 GB), on a 2 vCPU, 8 GB machine; so 2^15
+# would need ~10 GB for a dihedral group.
 TABLE_ORDER_CAP = 2**14
 
 
@@ -73,8 +75,7 @@ class FiniteGroup:
     Derived data (center, centralizer rows, predicates) is memoized on the
     instance as arrays and plain values that never point back at the group,
     so it is computed once, and a dropped group is freed at once by refcount.
-    The greedy generating set is memoized when Light's test in ``from_table``
-    asks for it, so no analysis has to find it again.
+    The greedy generating set is memoized the same way, found once on first use.
     """
 
     __slots__ = ("name", "order", "table", "identity", "inverses", "element_orders", "_memo")

@@ -57,6 +57,7 @@ from conftest import (
     loop_quaternion8_table,
     loop_tabulate_permutations,
     relabel_group,
+    right_closure,
 )
 
 
@@ -124,24 +125,26 @@ class TestNamedFamilies:
         assert np.array_equal(elementary_abelian(p, k).table, formula_elementary_abelian_table(p, k))
 
     def test_abelian_builders_allocate_no_wider_table(self):
-        # cyclic and elementary_abelian write uint16 with no int64 n x n
-        # array, so their traced peak stays within that of dihedral, which
-        # builds its uint16 table in place; all three have order 4096
+        # every builder that hands its table to core._group, at order 4096 or
+        # near it, traces little beyond its uint16 table: no int64 n x n
+        # array, no copy and no Light's test. Measured 1.007 (cyclic),
+        # 1.251 (elementary_abelian: the C2^11 table lives beside the last
+        # product), 1.010 (heisenberg) and 1.060 (alternating) times the table
         builds = {
-            "dihedral": lambda: dihedral(4096),
-            "cyclic": lambda: cyclic(4096),
-            "elementary_abelian": lambda: elementary_abelian(2, 12),
+            "cyclic": (lambda: cyclic(4096), 1.05),
+            "elementary_abelian": (lambda: elementary_abelian(2, 12), 1.3),
+            "heisenberg": (lambda: heisenberg(gf(2, 4)), 1.05),
+            "from_permutations": (lambda: alternating(7), 1.1),
         }
-        peak = {}
-        for name, build in builds.items():
+        ratio = {}
+        for name, (build, _) in builds.items():
             tracemalloc.start()
             try:
-                build()
-                peak[name] = tracemalloc.get_traced_memory()[1]
+                g = build()
+                ratio[name] = tracemalloc.get_traced_memory()[1] / g.table.nbytes
             finally:
                 tracemalloc.stop()
-        assert peak["cyclic"] <= peak["dihedral"], peak
-        assert peak["elementary_abelian"] <= peak["dihedral"], peak
+        assert all(ratio[name] <= bound for name, (_, bound) in builds.items()), ratio
 
 
 def inner_action(K, m):
@@ -187,11 +190,12 @@ class TestSemidirect:
             semidirect(ActionSpec(K, H, (tuple(range(5)), inv, inv, inv)))
 
     # 65536 read as uint16 would be 0, and the row the identity; the floats
-    # read as int64 would be (0, 3, 2, 1), the automorphism x -> -x
+    # read as int64 would be (0, 3, 2, 1), the automorphism x -> -x; numpy
+    # refuses the nested row with a bare ValueError
     @pytest.mark.parametrize(
         "row",
-        [(0, 1, 2), (0, 1, 1, 3), (65536, 1, 2, 3), (0.4, 3.9, 2.2, 1.7)],
-        ids=["ragged", "repeated", "past-uint16", "floats"],
+        [(0, 1, 2), (0, 1, 1, 3), (65536, 1, 2, 3), (0.4, 3.9, 2.2, 1.7), ((0,), 3, 2, 1)],
+        ids=["ragged", "repeated", "past-uint16", "floats", "nested"],
     )
     def test_non_permutation_rejected(self, row):
         K, H = cyclic(4), cyclic(2)
@@ -432,6 +436,11 @@ class TestFromPermutations:
         with pytest.raises(NotAPermutation):
             from_permutations(3, [(0, 0, 2)])
 
+    def test_ragged_generator_rejected(self):
+        # numpy refuses the nested image with a bare ValueError
+        with pytest.raises(NotAPermutation, match=r"^\(0, \[1\], 2\) is not a permutation of 0\.\.2$"):
+            from_permutations(3, [[0, [1], 2]])
+
     def test_float_images_are_not_truncated(self):
         # int() would read the generator as the transposition (1, 0, 2)
         with pytest.raises(NotAPermutation, match=r"^\(1\.5, 0\.2, 2\.7\) is not a permutation of 0\.\.2$"):
@@ -553,9 +562,47 @@ def constructions_of(oracle_pool):
     }
 
 
+def builder_families():
+    """handed-off builder -> its groups, at two orders or more except Q8."""
+    return {
+        "cyclic": [cyclic(n) for n in (1, 2, 7, 60, 255)],
+        "elementary_abelian": [elementary_abelian(p, k) for p, k in ((2, 0), (2, 3), (3, 2), (2, 6), (5, 3))],
+        "quaternion8": [quaternion8()],
+        "heisenberg": [heisenberg(gf(p, e)) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1))],
+        "from_permutations": [symmetric(n) for n in (1, 3, 4, 5)]
+        + [alternating(n) for n in (4, 5)]
+        + [from_permutations(7, [(1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5)])],
+    }
+
+
 class TestValidationBoundary:
-    """direct_product, quotient, subgroup_as_group, semidirect and
-    central_product hand their tables to core._group with no Light's test."""
+    """Only outside tables run Light's test. direct_product, quotient,
+    subgroup_as_group, semidirect and central_product, and the builders
+    but dihedral, hand their tables to core._group; tier-1 proves them."""
+
+    def test_builders_equal_their_revalidated_tables(self):
+        rng = np.random.default_rng(31)
+        for kind, groups in builder_families().items():
+            assert kind == "quaternion8" or len({g.order for g in groups}) >= 2, kind
+            for g in groups:
+                name = (kind, g.name)
+                rebuilt = from_table(g.table)
+                assert g.identity == rebuilt.identity, name
+                assert np.array_equal(g.inverses, rebuilt.inverses), name
+                assert g.element_orders == rebuilt.element_orders, name
+                assert core._generators(g) == core._generators(rebuilt), name
+                if g.order <= 64:
+                    assert brute_force_bad_triple(g.table) is None, name
+                # a relabelled copy, identity away from 0 once order > 1,
+                # compared through the relabelling
+                perm = rng.permutation(g.order)
+                if g.order > 1 and perm[g.identity] == g.identity:
+                    perm = np.roll(perm, 1)
+                moved = relabel_group(g, perm)
+                assert moved.identity == perm[g.identity], name
+                assert np.array_equal(moved.inverses[perm], perm[g.inverses]), name
+                assert [moved.element_orders[y] for y in perm] == list(g.element_orders), name
+                assert right_closure(moved, perm[list(core._generators(g))]) == set(range(g.order)), name
 
     def test_constructions_equal_their_revalidated_tables(self, oracle_pool):
         for kind, groups in constructions_of(oracle_pool).items():
@@ -572,6 +619,7 @@ class TestValidationBoundary:
                     assert brute_force_bad_triple(g.table) is None, name
 
     def test_only_the_constructions_skip_light(self, monkeypatch, tmp_path):
+        # dihedral alone keeps from_table; extraspecial2 builds dihedral(8)
         d8, q8, s3 = dihedral(8), quaternion8(), symmetric(3)
         doubling = tuple(tuple(x * 2**j % 7 for x in range(7)) for j in range(3))
         c7, c3 = cyclic(7), cyclic(3)
@@ -588,20 +636,20 @@ class TestValidationBoundary:
         assert subgroup_as_group(s3, derived_subgroup(s3)).order == 3
         assert semidirect(ActionSpec(c7, c3, doubling)).order == 21
         assert central_product(d8, q8).order == 32
+        assert load_permutations(perm).order == 6
+        assert cyclic(5).order == 5
+        assert elementary_abelian(2, 3).order == 8
+        assert quaternion8().order == 8
+        assert symmetric(3).order == 6
+        assert alternating(4).order == 12
+        assert heisenberg(gf(3)).order == 27
+        assert frobenius_cq_cn(5, 4, 2).order == 20
+        assert from_permutations(4, [(1, 2, 3, 0)]).order == 4
         for build in (
             lambda: from_table(d8.table),
             lambda: load_cayley(cayley),
-            lambda: load_permutations(perm),
-            lambda: cyclic(5),
-            lambda: elementary_abelian(2, 3),
             lambda: dihedral(10),
-            quaternion8,
-            lambda: symmetric(3),
-            lambda: alternating(4),
-            lambda: heisenberg(gf(3)),
-            lambda: frobenius_cq_cn(5, 4, 2),
             lambda: extraspecial2(2, "minus"),
-            lambda: from_permutations(4, [(1, 2, 3, 0)]),
         ):
             with pytest.raises(AssertionError, match="^Light's test ran$"):
                 build()

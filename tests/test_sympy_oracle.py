@@ -28,6 +28,7 @@ from groupcent import (
     extraspecial2,
     frobenius_cq_cn,
     from_permutations,
+    from_table,
     gf,
     heisenberg,
     is_abelian,
@@ -37,7 +38,12 @@ from groupcent import (
 )
 from groupcent.core import _generators, _prime_factors
 
-from conftest import assert_centralizers_match_loops, brute_force_inverses, loop_element_orders
+from conftest import (
+    assert_centralizers_match_loops,
+    brute_force_bad_triple,
+    brute_force_inverses,
+    loop_element_orders,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup  # noqa: E402
@@ -152,6 +158,12 @@ def test_permutation_groups_match_sympy_and_the_loop_oracles(drawn):
     assert sympy_cent_count(P) == (1 if is_abelian(g) else cent_count(g))
     assert g.element_orders == loop_element_orders(g.table, g.identity)
     assert tuple(g.inverses.tolist()) == brute_force_inverses(g.table)
+    # the closure runs no Light's test: from_table revalidates its table
+    rebuilt = from_table(g.table)
+    assert (rebuilt.identity, rebuilt.element_orders) == (g.identity, g.element_orders)
+    assert np.array_equal(rebuilt.inverses, g.inverses) and _generators(rebuilt) == _generators(g)
+    if g.order <= 64:
+        assert brute_force_bad_triple(g.table) is None
     if not is_abelian(g):
         # the centralizer record, the F and CA flags and the pair checks,
         # exhaustive up to order 64 and sampled at every order
